@@ -148,6 +148,10 @@ def _config(args: argparse.Namespace) -> RunConfig:
         raise _UsageError("need --d >= 1 and --n >= 1")
     if args.m is not None and args.m < 1:
         raise _UsageError("--m must be positive")
+    if args.trials < 1:
+        raise _UsageError("--trials must be positive")
+    if args.m_max is not None and args.m_max < 1:
+        raise _UsageError("--m-max must be positive")
     if not 0.0 < args.c1 <= 1.0 <= args.c2:
         raise _UsageError("targets must satisfy 0 < c1 <= 1 <= c2")
     return RunConfig("discretize", range(args.d, args.d + 1),
@@ -236,7 +240,8 @@ def run_discretize(cfg: RunConfig) -> int:
             try:
                 result = disc.search_minimal_m(
                     d, n, c1_target=cfg.c1, c2_target=cfg.c2,
-                    trials_per_m=cfg.trials, seed=cfg.seed, m_max=cfg.m_max)
+                    trials_per_m=cfg.trials, seed=cfg.seed, m_max=cfg.m_max,
+                    budget=cfg.budget)
             except disc.SearchExhausted as exc:
                 print("error: %s" % exc, file=sys.stderr)
                 return 3

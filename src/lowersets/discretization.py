@@ -10,6 +10,13 @@ over the whole family.  The exponential system is one admissible choice
 of uniformly bounded orthonormal basis; its squared sup-norm sum is
 exactly n, the best possible.
 
+Every lower set of size n lies in the shifted hyperbolic cross
+F = {k : prod(k_i + 1) <= n}, so the family sweep builds V once over F
+and the Gram G_F = (1/m) V* V once per point set.  The Gram of each
+T(Q) is then the principal submatrix of G_F on the rows of Q, and the
+submatrices go through ``eigvalsh`` stacked, a bounded chunk at a time.
+``gram_matrix`` and ``gram_spectrum`` remain the per-set reference.
+
 Frequencies are taken from Q as-is, without symmetrization.  Eigenvalue
 extremes are always computed on the n x n Gram, never on the m x m
 frame, since n stays small while m grows.
@@ -37,6 +44,9 @@ from .core import (
 DEFAULT_C1 = 0.5
 DEFAULT_C2 = 1.5
 _EIG_CLAMP = 1e-10
+# Complex entries (16 bytes each, so 1 MiB) of stacked submatrices per
+# eigvalsh call in the family sweep.
+_CHUNK_ENTRIES = 1 << 16
 
 
 class EigenSolverError(RuntimeError):
@@ -72,6 +82,8 @@ class PointSetTorus:
         arr = np.array(self.points, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dim or arr.shape[0] < 1:
             raise ValueError("points must form a non-empty (m, dim) array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("points must be finite")
         if np.any(arr < 0.0) or np.any(arr >= 1.0):
             raise ValueError("points must lie in [0, 1)")
         arr.setflags(write=False)
@@ -178,35 +190,66 @@ def regime_table(d: int, n: int) -> tuple[str, float, float]:
     return _regime(d, n), n * n * math.log(d), hyperbolic_cross_bound(d, n)
 
 
-def universal_constants(
-    d: int, n: int, xs: PointSetTorus, budget: int = DEFAULT_NODE_BUDGET
-) -> DiscretizationReport:
-    """Worst-case Gram eigenvalue extremes over every lower set of size n.
+def _family(d: int, n: int, budget: int) -> tuple[list[Coords], np.ndarray]:
+    """The cells F of all lower sets of size n, lex-sorted, and one row
+    of indices into F per set, in walk order.
 
-    c1 is the smallest lambda_min and c2 the largest lambda_max across
-    the family, each with the lower set achieving it.  The report also
-    carries the reference point counts n^2*ln d and n^(2-1/d)*d^(ln d),
-    the hyperbolic cross size and its bound, and the regime label.
+    F is the union of the family, which is the shifted hyperbolic cross
+    {k : prod(k_i + 1) <= n}.  Each row is increasing because both F and
+    the points of a lower set are lex-sorted.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    if xs.dim != d:
-        raise ValueError("dimension mismatch between d and the point set")
-    c1 = math.inf
-    c2 = -math.inf
-    wmin = wmax = None
     try:
-        for q in enumerate_lower_sets(d, n, budget=budget):
-            spec = gram_spectrum(q, xs)
-            if spec.lambda_min < c1:
-                c1, wmin = spec.lambda_min, q
-            if spec.lambda_max > c2:
-                c2, wmax = spec.lambda_max, q
+        family = [q.points for q in enumerate_lower_sets(d, n, budget=budget)]
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             "budget exceeded while enumerating subspaces; try smaller n or d"
         ) from exc
-    assert wmin is not None and wmax is not None
+    cells = sorted({p for points in family for p in points})
+    pos = {p: i for i, p in enumerate(cells)}
+    index = np.array([[pos[p] for p in points] for points in family], dtype=np.intp)
+    return cells, index
+
+
+def _extremes(
+    cells: list[Coords], index: np.ndarray, xs: PointSetTorus
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped lambda_min and lambda_max of every set's Gram, taken as
+    principal submatrices of one Gram over all cells, in stacked chunks."""
+    v = np.exp(2j * np.pi * (xs.points @ np.array(cells, dtype=float).T))
+    g = (v.conj().T @ v) / len(xs)
+    sets, n = index.shape
+    lo = np.empty(sets)
+    hi = np.empty(sets)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for a in range(0, sets, step):
+        rows = index[a:a + step]
+        try:
+            eigs = np.linalg.eigvalsh(g[rows[:, :, None], rows[:, None, :]])
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError(
+                "eigvalsh failed for n=%d m=%d on sets %d..%d"
+                % (n, len(xs), a, a + len(rows) - 1)
+            ) from exc
+        lo[a:a + len(rows)] = eigs[:, 0]
+        hi[a:a + len(rows)] = eigs[:, -1]
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise EigenSolverError("non-finite Gram eigenvalue for n=%d m=%d" % (n, len(xs)))
+    if lo.min() < -_EIG_CLAMP:
+        raise EigenSolverError("Gram matrix lost positivity: %g" % lo.min())
+    return np.maximum(lo, 0.0), hi
+
+
+def _report(
+    d: int, n: int, xs: PointSetTorus, cells: list[Coords], index: np.ndarray
+) -> DiscretizationReport:
+    lo, hi = _extremes(cells, index, xs)
+    wmin, wmax = int(np.argmin(lo)), int(np.argmax(hi))
+
+    def witness(row: int) -> LowerSet:
+        return LowerSet(d, tuple(cells[i] for i in index[row]))
+
     bounds = {
         "thm6": n * n * math.log(d),
         "thm6_b": n ** (2.0 - 1.0 / d) * math.exp(math.log(d) ** 2),
@@ -217,13 +260,34 @@ def universal_constants(
         d=d,
         n=n,
         m=len(xs),
-        c1=c1,
-        c2=c2,
-        witness_min=wmin,
-        witness_max=wmax,
+        c1=float(lo[wmin]),
+        c2=float(hi[wmax]),
+        witness_min=witness(wmin),
+        witness_max=witness(wmax),
         bounds=bounds,
         regime=_regime(d, n),
     )
+
+
+def universal_constants(
+    d: int, n: int, xs: PointSetTorus, budget: int = DEFAULT_NODE_BUDGET
+) -> DiscretizationReport:
+    """Worst-case Gram eigenvalue extremes over every lower set of size n.
+
+    c1 is the smallest lambda_min and c2 the largest lambda_max across
+    the family, each with the first lower set in walk order achieving
+    it.  One Gram over the union of the family's frequencies is built
+    from ``xs``; each set's n x n Gram is its principal submatrix, and
+    the stacked submatrices go through one batched eigensolve per chunk.
+    The report also carries the reference point counts n^2*ln d and
+    n^(2-1/d)*d^(ln d), the hyperbolic cross size and its bound, and the
+    regime label.  A non-finite eigenvalue, or one below -1e-10, raises
+    EigenSolverError.
+    """
+    if xs.dim != d:
+        raise ValueError("dimension mismatch between d and the point set")
+    cells, index = _family(d, n, budget)
+    return _report(d, n, xs, cells, index)
 
 
 @dataclass(frozen=True)
@@ -244,6 +308,7 @@ def search_minimal_m(
     trials_per_m: int = 10,
     seed: int = 0,
     m_max: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
     """Smallest sample size found whose random draw meets the targets.
 
@@ -252,19 +317,19 @@ def search_minimal_m(
     from m = 1 locates a qualifying size, bisection then returns the
     smallest qualifying size on that path.  Trial t always uses seed
     (root seed + t), so outcomes do not depend on scheduling.  When no
-    m <= m_max qualifies, SearchExhausted reports the best attempt.
+    m <= m_max qualifies, SearchExhausted reports the best attempt.  The
+    family is enumerated once, under ``budget``, and swept for every draw.
     """
     if not 0.0 < c1_target <= 1.0 <= c2_target:
         raise ValueError("targets must satisfy 0 < c1 <= 1 <= c2")
     if trials_per_m < 1:
         raise ValueError("trials_per_m must be positive")
-    if m_max is None:
-        from .core import count_lower_sets
-
-        p = count_lower_sets(d, n)
-        m_max = math.ceil(32.0 * n * math.log(n * p)) if n * p > 1 else 4 * n
-    if m_max < 1:
+    if m_max is not None and m_max < 1:
         raise ValueError("m_max must be positive")
+    cells, index = _family(d, n, budget)
+    if m_max is None:
+        p = len(index)
+        m_max = math.ceil(32.0 * n * math.log(n * p)) if n * p > 1 else 4 * n
 
     best = (0, -math.inf, math.inf)
 
@@ -272,7 +337,7 @@ def search_minimal_m(
         nonlocal best
         for trial in range(trials_per_m):
             xs = sample_points(d, m, seed + trial)
-            report = universal_constants(d, n, xs)
+            report = _report(d, n, xs, cells, index)
             if report.c1 >= c1_target and report.c2 <= c2_target:
                 return SearchResult(m, xs, report)
             score = min(report.c1 - c1_target, c2_target - report.c2)

@@ -216,6 +216,28 @@ def test_discretize_search_exhaustion_exits_three(capsys):
     assert "no qualifying m" in err
 
 
+def test_discretize_search_budget_exceeded(monkeypatch, capsys):
+    base = ["discretize", "--d", "2", "--n", "6", "--seed", "7"]
+    monkeypatch.setenv(cli.BUDGET_ENV, "3")
+    assert run(base + ["--m", "50"], capsys)[0] == 2
+    code, out, err = run(base + ["--search", "--trials", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_discretize_nonpositive_search_limits_rejected(capsys):
+    base = ["discretize", "--d", "2", "--n", "3", "--search", "--seed", "1"]
+    for extra, flag in ((["--trials", "0"], "--trials"),
+                        (["--trials", "-2"], "--trials"),
+                        (["--m-max", "0"], "--m-max")):
+        code, out, err = run(base + extra, capsys)
+        assert code == 1
+        assert out == ""
+        assert "error: %s must be positive" % flag in err
+        assert "Traceback" not in err
+
+
 def test_discretize_randomized_needs_seed(capsys):
     code, _, err = run(["discretize", "--d", "2", "--n", "3", "--m", "8"],
                        capsys)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bruteforce import candidate_cells
 from lowersets import core, discretization as d
 
 
@@ -155,6 +156,95 @@ def test_universal_constants_budget():
     xs = d.sample_points(2, 4, seed=1)
     with pytest.raises(core.BudgetExceededError, match="smaller n or d"):
         d.universal_constants(2, 6, xs, budget=3)
+
+
+# -- batched sweep against the per-set reference ------------------------------
+
+def _assert_sweep_matches_reference(dim, n, xs):
+    """Every set's batched extremes equal gram_spectrum's, and the report's
+    constants and witnesses follow from them."""
+    cells, index = d._family(dim, n, core.DEFAULT_NODE_BUDGET)
+    lo, hi = d._extremes(cells, index, xs)
+    specs = [d.gram_spectrum(q, xs) for q in core.enumerate_lower_sets(dim, n)]
+    assert len(specs) == len(lo) == len(hi)
+    for spec, row, a, b in zip(specs, index, lo, hi):
+        assert tuple(cells[i] for i in row) == spec.subspace.points
+        assert a == approx(spec.lambda_min, abs=1e-12)
+        assert b == approx(spec.lambda_max, abs=1e-12)
+    rep = d.universal_constants(dim, n, xs)
+    assert rep.c1 == approx(min(s.lambda_min for s in specs), abs=1e-12)
+    assert rep.c2 == approx(max(s.lambda_max for s in specs), abs=1e-12)
+    assert d.gram_spectrum(rep.witness_min, xs).lambda_min == approx(rep.c1, abs=1e-12)
+    assert d.gram_spectrum(rep.witness_max, xs).lambda_max == approx(rep.c2, abs=1e-12)
+    return rep
+
+
+@pytest.mark.parametrize("dim,n,m,seed", [
+    (1, 6, 9, 1), (2, 6, 30, 2), (3, 5, 40, 3), (4, 4, 50, 4)])
+def test_sweep_matches_per_set_reference(dim, n, m, seed):
+    _assert_sweep_matches_reference(dim, n, d.sample_points(dim, m, seed))
+
+
+def test_sweep_rank_deficient_draw():
+    # m < n: every Gram in the family is singular
+    rep = _assert_sweep_matches_reference(2, 6, d.sample_points(2, 4, seed=5))
+    assert rep.c1 == approx(0.0, abs=1e-12)
+
+
+def test_sweep_tensor_grid():
+    rep = _assert_sweep_matches_reference(2, 5, d.tensor_grid(2, [5, 5]))
+    assert rep.c1 == approx(1.0, abs=1e-12)
+    assert rep.c2 == approx(1.0, abs=1e-12)
+
+
+def test_sweep_family_larger_than_one_chunk():
+    p = core.count_lower_sets(4, 10)
+    assert p * 10 * 10 > d._CHUNK_ENTRIES
+    _assert_sweep_matches_reference(4, 10, d.sample_points(4, 60, seed=6))
+
+
+def test_sweep_independent_of_chunk_size(monkeypatch):
+    xs = d.sample_points(3, 7, seed=8)
+    cells, index = d._family(3, 7, core.DEFAULT_NODE_BUDGET)
+    lo, hi = d._extremes(cells, index, xs)
+    rep = d.universal_constants(3, 7, xs)
+    monkeypatch.setattr(d, "_CHUNK_ENTRIES", 1)
+    lo1, hi1 = d._extremes(cells, index, xs)
+    assert np.array_equal(lo, lo1) and np.array_equal(hi, hi1)
+    assert d.universal_constants(3, 7, xs) == rep
+
+
+def test_family_cells_are_the_shifted_hyperbolic_cross():
+    for dim in (1, 2, 3, 4):
+        for n in range(1, 9):
+            cells, index = d._family(dim, n, core.DEFAULT_NODE_BUDGET)
+            assert cells == candidate_cells(dim, n)
+            assert len(cells) == d.hyperbolic_cross_size(dim, n)
+            assert index.shape == (core.count_lower_sets(dim, n), n)
+            assert np.all(np.diff(index, axis=1) > 0)
+
+
+def test_non_finite_points_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            d.PointSetTorus(2, np.array([[bad, 0.1], [0.2, 0.3]]))
+
+
+def test_non_finite_spectrum_raises_eigen_solver_error():
+    xs = d.sample_points(2, 6, seed=1)
+    poisoned = xs.points.copy()
+    poisoned[0, 0] = math.nan
+    object.__setattr__(xs, "points", poisoned)  # past PointSetTorus validation
+    with pytest.raises(d.EigenSolverError):
+        d.universal_constants(2, 3, xs)
+
+
+def test_lost_positivity_raises_eigen_solver_error(monkeypatch):
+    def negative(a):
+        return np.full(a.shape[:-1], -1e-6)
+    monkeypatch.setattr(d.np.linalg, "eigvalsh", negative)
+    with pytest.raises(d.EigenSolverError, match="positivity"):
+        d.universal_constants(2, 3, d.sample_points(2, 8, seed=1))
 
 
 # -- minimal-m search ---------------------------------------------------------
