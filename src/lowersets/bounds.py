@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import mpmath
@@ -34,7 +33,6 @@ LN2 = math.log(2.0)
 SIGMA1 = 1.25
 SIGMA2 = 2.6
 
-ZETA_TOL = 1e-12
 _RATIO_TOL = 1e-9
 
 BOUNDS_CSV_HEADER = "d,n,ln_p,thm1_lo,thm1_hi,cohen,hr,c_prime_ratio,c_upper,eq_a,flags"
@@ -109,22 +107,11 @@ def ratio_bounds(d: int, n: int) -> tuple[float, float]:
     return c_lo, rate_upper(d)
 
 
-@lru_cache(maxsize=None)
 def zeta(s: int) -> float:
-    """Riemann zeta at an integer s >= 2, to absolute accuracy 1e-12.
-
-    Direct summation to N plus the integral tail N^(1-s)/(s-1) with the
-    standard endpoint corrections; the first omitted correction is far
-    below ZETA_TOL for N = 20000.
-    """
+    """Riemann zeta at an integer s >= 2."""
     if s < 2:
         raise ValueError("requires s >= 2")
-    n_terms = 20000
-    partial = math.fsum(k ** (-float(s)) for k in range(1, n_terms + 1))
-    tail = n_terms ** (1.0 - s) / (s - 1.0)
-    tail -= 0.5 * n_terms ** (-float(s))
-    tail += s / 12.0 * n_terms ** (-float(s) - 1.0)
-    return partial + tail
+    return float(mpmath.zeta(s))
 
 
 def rho_d(d: int) -> float:

@@ -1,8 +1,9 @@
 """Batch front-end for counting, enumeration, bounds and discretization.
 
-Exit codes: 0 success, 1 usage error, 2 node budget exceeded, 3 targets
-unmet (a bound flag failed, certification missed its targets, or the
-minimal-m search was exhausted).  Outputs carry no timestamps and all
+Exit codes: 0 success, 1 usage error or bad input (a library ValueError
+or an unwritable output file), 2 node budget exceeded, 3 targets unmet
+(a bound flag failed, certification missed its targets, or the minimal-m
+search was exhausted).  Outputs carry no timestamps and all
 randomness is seeded, so identical configurations write byte-identical
 files.  The LOWERSET_BUDGET environment variable overrides the default
 DFS node budget.
@@ -170,15 +171,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def run_count(cfg: RunConfig) -> int:
-    rows = []
-    try:
-        for d in cfg.d_range:
-            for n in cfg.n_range:
-                rows.append((d, n, core.count_lower_sets(
-                    d, n, method=cfg.method, budget=cfg.budget)))
-    except core.BudgetExceededError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    rows = [(d, n, core.count_lower_sets(d, n, method=cfg.method, budget=cfg.budget))
+            for d in cfg.d_range for n in cfg.n_range]
     if cfg.fmt == "csv":
         lines = ["d,n,p_d_n"] + ["%d,%d,%d" % r for r in rows]
         _emit("\n".join(lines) + "\n", cfg.out)
@@ -190,26 +184,15 @@ def run_count(cfg: RunConfig) -> int:
 
 def run_enumerate(cfg: RunConfig) -> int:
     d, n = cfg.d_range.start, cfg.n_range.start
-    try:
-        lines = [core.to_json_line(q)
-                 for q in core.enumerate_lower_sets(d, n, budget=cfg.budget)]
-    except core.BudgetExceededError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    lines = [core.to_json_line(q)
+             for q in core.enumerate_lower_sets(d, n, budget=cfg.budget)]
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
 def run_bounds(cfg: RunConfig) -> int:
-    reports = []
-    try:
-        for d in cfg.d_range:
-            for n in cfg.n_range:
-                exact = core.count_lower_sets(d, n, budget=cfg.budget)
-                reports.append(bnd.verify_bounds(d, n, exact))
-    except core.BudgetExceededError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    reports = [bnd.verify_bounds(d, n, core.count_lower_sets(d, n, budget=cfg.budget))
+               for d in cfg.d_range for n in cfg.n_range]
     if cfg.fmt == "csv":
         lines = [bnd.BOUNDS_CSV_HEADER] + [bnd.bounds_csv_row(r) for r in reports]
         _emit("\n".join(lines) + "\n", cfg.out)
@@ -234,34 +217,26 @@ def _grid_side(d: int, m: int) -> int:
 
 def run_discretize(cfg: RunConfig) -> int:
     d, n = cfg.d_range.start, cfg.n_range.start
-    try:
-        if cfg.search:
-            assert cfg.seed is not None
-            try:
-                result = disc.search_minimal_m(
-                    d, n, c1_target=cfg.c1, c2_target=cfg.c2,
-                    trials_per_m=cfg.trials, seed=cfg.seed, m_max=cfg.m_max,
-                    budget=cfg.budget)
-            except disc.SearchExhausted as exc:
-                print("error: %s" % exc, file=sys.stderr)
-                return 3
-            report, xs = result.report, result.witness
-            extra = {"search": {"m_found": result.m, "seed": cfg.seed,
-                                "trials_per_m": cfg.trials,
-                                "targets": [cfg.c1, cfg.c2]}}
+    if cfg.search:
+        assert cfg.seed is not None
+        result = disc.search_minimal_m(
+            d, n, c1_target=cfg.c1, c2_target=cfg.c2,
+            trials_per_m=cfg.trials, seed=cfg.seed, m_max=cfg.m_max,
+            budget=cfg.budget)
+        report, xs = result.report, result.witness
+        extra = {"search": {"m_found": result.m, "seed": cfg.seed,
+                            "trials_per_m": cfg.trials,
+                            "targets": [cfg.c1, cfg.c2]}}
+    else:
+        assert cfg.m is not None
+        if cfg.grid:
+            side = _grid_side(d, cfg.m)
+            xs = disc.tensor_grid(d, [side] * d)
         else:
-            assert cfg.m is not None
-            if cfg.grid:
-                side = _grid_side(d, cfg.m)
-                xs = disc.tensor_grid(d, [side] * d)
-            else:
-                assert cfg.seed is not None
-                xs = disc.sample_points(d, cfg.m, cfg.seed)
-            report = disc.universal_constants(d, n, xs, budget=cfg.budget)
-            extra = {"targets": [cfg.c1, cfg.c2]}
-    except core.BudgetExceededError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+            assert cfg.seed is not None
+            xs = disc.sample_points(d, cfg.m, cfg.seed)
+        report = disc.universal_constants(d, n, xs, budget=cfg.budget)
+        extra = {"targets": [cfg.c1, cfg.c2]}
     _emit(disc.report_json(report, extra) + "\n", cfg.out)
     if cfg.points_out:
         _emit(disc.points_csv(xs), cfg.points_out)
@@ -291,9 +266,14 @@ def main(argv: list[str] | None = None) -> int:
                "bounds": run_bounds, "discretize": run_discretize}
     try:
         return runners[cfg.command](cfg)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    except core.BudgetExceededError as exc:
+        code, message = 2, str(exc)
+    except disc.SearchExhausted as exc:
+        code, message = 3, str(exc)
+    except (ValueError, OSError) as exc:
+        code, message = 1, str(exc)
+    print("error: %s" % message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

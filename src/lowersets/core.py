@@ -12,8 +12,13 @@ appending addable points in strictly lexicographically increasing order.
 The lex-sorted listing of any lower set is itself such a growth sequence
 (every prefix is downward closed because predecessors are lex-smaller),
 and it is the only one, so each lower set is produced exactly once.
-Subtrees are independent, which keeps memory at O(n) and would allow
-parallel exploration; all functions here are pure and single threaded.
+One iterative walk with an explicit stack feeds both enumeration and
+the DFS count, so depth is limited by n alone, not by the interpreter's
+recursion limit.  Its output is lex-sorted and downward closed by
+construction, so enumeration wraps it in LowerSet without re-validating;
+the public constructor still validates all outside input.  Subtrees are
+independent, which keeps memory at O(n) and would allow parallel
+exploration; all functions here are pure and single threaded.
 """
 
 from __future__ import annotations
@@ -84,6 +89,14 @@ class LowerSet:
                 raise ValueError("not downward closed: %r lacks a predecessor" % (p,))
 
     @classmethod
+    def _trusted(cls, dim: int, points: tuple[Coords, ...]) -> "LowerSet":
+        """Wrap walk output, lex-sorted and downward closed by construction."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "dim", dim)
+        object.__setattr__(q, "points", points)
+        return q
+
+    @classmethod
     def from_points(cls, dim: int, points: Iterable[Iterable[int]]) -> "LowerSet":
         return cls(dim, tuple(sorted({_as_point(p, dim) for p in points})))
 
@@ -94,7 +107,7 @@ class LowerSet:
         return iter(self.points)
 
     def __contains__(self, p: object) -> bool:
-        return p in set(self.points)
+        return p in self.points
 
 
 @dataclass(frozen=True)
@@ -153,6 +166,51 @@ def _merge_sorted(a: tuple[Coords, ...], b: list[Coords]) -> tuple[Coords, ...]:
     return tuple(out)
 
 
+def _walk(dim: int, size: int, budget: int) -> Iterator[list[Coords]]:
+    """The canonical growth, yielding the shared chain at depth ``size``.
+
+    An explicit stack of [frontier, next_index] frames replaces
+    recursion, so the depth is bounded by ``size`` alone.  A frame's
+    frontier holds the addable points lex-greater than the last chain
+    point, in lex order.  Every visited set of size 1..size counts as a
+    node against ``budget``.  The yielded list is mutated as the walk
+    goes on; callers copy what they keep.
+    """
+    if size == 0:
+        yield []
+        return
+    origin = (0,) * dim
+    members = {origin}
+    chain = [origin]
+    nodes = 1
+    if size == 1:
+        yield chain
+        return
+    stack = [[tuple(sorted(_successors(origin, dim))), 0]]
+    while stack:
+        frame = stack[-1]
+        frontier, j = frame
+        if j == len(frontier):
+            stack.pop()
+            members.discard(chain.pop())
+            continue
+        frame[1] = j + 1
+        p = frontier[j]
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("budget exceeded")
+        members.add(p)
+        chain.append(p)
+        if len(chain) == size:
+            yield chain
+            chain.pop()
+            members.discard(p)
+            continue
+        fresh = [s for s in _successors(p, dim) if _preds_present(s, members)]
+        fresh.sort()
+        stack.append([_merge_sorted(frontier[j + 1:], fresh), 0])
+
+
 def enumerate_lower_sets(
     dim: int, size: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[LowerSet]:
@@ -166,62 +224,8 @@ def enumerate_lower_sets(
         raise ValueError("dimension must be at least 1")
     if size < 0:
         raise ValueError("size must be non-negative")
-    if size == 0:
-        yield LowerSet(dim, ())
-        return
-    origin = (0,) * dim
-    members = {origin}
-    chain = [origin]
-    nodes = 1
-
-    def grow(frontier: tuple[Coords, ...]) -> Iterator[LowerSet]:
-        nonlocal nodes
-        if len(chain) == size:
-            yield LowerSet(dim, tuple(chain))
-            return
-        for j, p in enumerate(frontier):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError("budget exceeded")
-            members.add(p)
-            chain.append(p)
-            fresh = [s for s in _successors(p, dim) if _preds_present(s, members)]
-            fresh.sort()
-            yield from grow(_merge_sorted(frontier[j + 1:], fresh))
-            chain.pop()
-            members.discard(p)
-
-    yield from grow(tuple(sorted(_successors(origin, dim))))
-
-
-def _count_by_size(dim: int, size_max: int, budget: int) -> list[int]:
-    """Counts of lower sets of each size 0..size_max, one DFS sweep."""
-    counts = [0] * (size_max + 1)
-    counts[0] = 1
-    if size_max == 0:
-        return counts
-    origin = (0,) * dim
-    members = {origin}
-    counts[1] = 1
-    nodes = 1
-
-    def walk(frontier: tuple[Coords, ...], depth: int) -> None:
-        nonlocal nodes
-        if depth == size_max:
-            return
-        for j, p in enumerate(frontier):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError("budget exceeded")
-            counts[depth + 1] += 1
-            members.add(p)
-            fresh = [s for s in _successors(p, dim) if _preds_present(s, members)]
-            fresh.sort()
-            walk(_merge_sorted(frontier[j + 1:], fresh), depth + 1)
-            members.discard(p)
-
-    walk(tuple(sorted(_successors(origin, dim))), 1)
-    return counts
+    for chain in _walk(dim, size, budget):
+        yield LowerSet._trusted(dim, tuple(chain))
 
 
 def count_lower_sets(
@@ -250,7 +254,7 @@ def count_lower_sets(
             return partition_oracle_2d(size)[size]
         if dim == 3:
             return plane_partition_oracle_3d(size)[size]
-    return _count_by_size(dim, size, budget)[size]
+    return sum(1 for _ in _walk(dim, size, budget))
 
 
 def partition_oracle_2d(n_max: int) -> list[int]:

@@ -84,6 +84,19 @@ def test_count_budget_exceeded(monkeypatch, capsys):
     assert "budget" in err
 
 
+def test_count_deep_chain(capsys):
+    code, out, _ = run(["count", "--d", "1", "--n", "3000", "--method", "dfs"], capsys)
+    assert code == 0
+    assert out == "d,n,p_d_n\n1,3000,1\n"
+
+
+def test_count_library_error_is_one_line(capsys):
+    code, out, err = run(["count", "--d", "0..2", "--n", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: dimension must be at least 1\n"
+
+
 def test_count_bad_budget_env(monkeypatch, capsys):
     monkeypatch.setenv(cli.BUDGET_ENV, "zero")
     code, _, err = run(["count", "--d", "2", "--n", "3"], capsys)
@@ -125,6 +138,12 @@ def test_enumerate_empty_size(capsys):
     code, out, _ = run(["enumerate", "--d", "3", "--n", "0"], capsys)
     assert code == 0
     assert out == "[]\n"
+
+
+def test_enumerate_deep_chain(capsys):
+    code, out, _ = run(["enumerate", "--d", "1", "--n", "3000"], capsys)
+    assert code == 0
+    assert json.loads(out) == [[i] for i in range(3000)]
 
 
 def test_enumerate_budget_exceeded(monkeypatch, capsys):
@@ -278,6 +297,18 @@ def test_discretize_points_out(tmp_path, capsys):
     rows = points.read_text().strip().split("\n")
     assert len(rows) == 16
     assert all(len(row.split(",")) == 2 for row in rows)
+
+
+def test_discretize_unwritable_out_is_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        ["discretize", "--d", "2", "--n", "3", "--m", "8", "--seed", "1",
+         "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(target) in err
 
 
 # -- reproducibility ---------------------------------------------------------------

@@ -101,11 +101,16 @@ def test_enumerate_chain_only_in_1d():
     assert q.points == ((0,), (1,), (2,), (3,), (4,))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_enumerate_matches_box_filter_small(d):
     for n in range(7):
-        got = {q.points for q in core.enumerate_lower_sets(d, n)}
-        assert got == box_filter_lower_sets(d, n)
+        stream = list(core.enumerate_lower_sets(d, n))
+        # walk output skips validation, so run it through the public constructor
+        for q in stream:
+            assert q == LowerSet(q.dim, q.points)
+        points = [q.points for q in stream]
+        assert all(a < b for a, b in zip(points, points[1:]))
+        assert set(points) == box_filter_lower_sets(d, n)
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 3), (1, 6)])
@@ -140,6 +145,41 @@ def test_budget_guard():
         core.count_lower_sets(3, 9, method="dfs", budget=10)
     with pytest.raises(core.BudgetExceededError):
         list(core.enumerate_lower_sets(3, 9, budget=10))
+
+
+# Solid partitions, OEIS A000293 (Knuth, Math. Comp. 24 (1970) 955-961),
+# and four-dimensional partitions, OEIS A000334: p_4(n) and p_5(n).
+SOLID_PARTITIONS = [1, 1, 4, 10, 26, 59, 140, 307, 684, 1464, 3122, 6500, 13426]
+FOUR_DIM_PARTITIONS = [1, 1, 5, 15, 45, 120, 326, 835, 2145, 5345, 13220]
+
+
+@pytest.mark.parametrize("d,table", [(4, SOLID_PARTITIONS), (5, FOUR_DIM_PARTITIONS)])
+def test_dfs_counts_match_oeis(d, table):
+    assert [core.count_lower_sets(d, n, "dfs") for n in range(len(table))] == table
+
+
+def test_deep_chain_has_no_recursion_limit():
+    assert core.count_lower_sets(1, 3000, method="dfs") == 1
+    (q,) = core.enumerate_lower_sets(1, 3000)
+    assert q.points == tuple((i,) for i in range(3000))
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (4, 7), (5, 4)])
+def test_budget_boundary_is_exact(d, n):
+    sizes = {2: core.partition_oracle_2d(n), 3: core.plane_partition_oracle_3d(n),
+             4: SOLID_PARTITIONS, 5: FOUR_DIM_PARTITIONS}[d]
+    nodes = sum(sizes[1:n + 1])  # the walk visits every set of size 1..n once
+    assert core.count_lower_sets(d, n, "dfs", budget=nodes) == sizes[n]
+    assert len(list(core.enumerate_lower_sets(d, n, budget=nodes))) == sizes[n]
+    with pytest.raises(core.BudgetExceededError):
+        core.count_lower_sets(d, n, "dfs", budget=nodes - 1)
+    got = []
+    with pytest.raises(core.BudgetExceededError):
+        for q in core.enumerate_lower_sets(d, n, budget=nodes - 1):
+            got.append(q)
+    # Every set of size < n has a child, so the last visited node is the
+    # last set of size n.
+    assert len(got) == sizes[n] - 1
 
 
 def test_partition_oracle_2d():
