@@ -1,12 +1,16 @@
 """Batch front-end for counting, enumeration, bounds and discretization.
 
-Exit codes: 0 success, 1 usage error or bad input (a library ValueError
-or an unwritable output file), 2 node budget exceeded, 3 targets unmet
-(a bound flag failed, certification missed its targets, or the minimal-m
-search was exhausted).  Outputs carry no timestamps and all
-randomness is seeded, so identical configurations write byte-identical
-files.  The LOWERSET_BUDGET environment variable overrides the default
-DFS node budget.
+Exit codes: 0 success, 1 usage error, bad input (a library ValueError
+or an unwritable output file) or a failed eigensolve (EigenSolverError),
+2 node budget exceeded, 3 targets unmet (a bound flag failed,
+certification missed its targets, or the minimal-m search was
+exhausted).  Outputs carry no timestamps and all randomness is seeded,
+so identical configurations write byte-identical files.  ``--out`` and
+``--points-out`` are written to a temp file beside the target and
+renamed over it, so a failed run leaves no partial file.  ``count`` and
+``bounds`` build one count table per dimension, up to the largest n of
+the range.  The LOWERSET_BUDGET environment variable overrides the
+default DFS node budget.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 from . import bounds as bnd
@@ -163,16 +168,42 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or through a temp file renamed over ``out``."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".%s." % os.path.basename(out),
+                                   dir=os.path.dirname(out) or ".")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(fd, 0o666 & ~mask)  # the mode open(out, "w") would give
             fh.write(text)
+        os.replace(tmp, out)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the target, not the temp file
+            raise type(exc)(exc.errno, exc.strerror, out) from None
+        raise
+
+
+def _count_rows(cfg: RunConfig, method: str) -> list[tuple[int, int, int]]:
+    """(d, n, p_d(n)) over the grid, read from one count table per d."""
+    lo, hi = cfg.n_range.start, cfg.n_range[-1]
+    rows = []
+    for d in cfg.d_range:
+        # a negative lo fails here with the size error, before any walk
+        table = core.count_table(d, lo if lo < 0 else hi, method=method,
+                                 budget=cfg.budget)
+        rows += [(d, n, table[n]) for n in cfg.n_range]
+    return rows
 
 
 def run_count(cfg: RunConfig) -> int:
-    rows = [(d, n, core.count_lower_sets(d, n, method=cfg.method, budget=cfg.budget))
-            for d in cfg.d_range for n in cfg.n_range]
+    rows = _count_rows(cfg, cfg.method)
     if cfg.fmt == "csv":
         lines = ["d,n,p_d_n"] + ["%d,%d,%d" % r for r in rows]
         _emit("\n".join(lines) + "\n", cfg.out)
@@ -191,8 +222,7 @@ def run_enumerate(cfg: RunConfig) -> int:
 
 
 def run_bounds(cfg: RunConfig) -> int:
-    reports = [bnd.verify_bounds(d, n, core.count_lower_sets(d, n, budget=cfg.budget))
-               for d in cfg.d_range for n in cfg.n_range]
+    reports = [bnd.verify_bounds(d, n, p) for d, n, p in _count_rows(cfg, "auto")]
     if cfg.fmt == "csv":
         lines = [bnd.BOUNDS_CSV_HEADER] + [bnd.bounds_csv_row(r) for r in reports]
         _emit("\n".join(lines) + "\n", cfg.out)
@@ -270,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = 2, str(exc)
     except disc.SearchExhausted as exc:
         code, message = 3, str(exc)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, disc.EigenSolverError) as exc:
         code, message = 1, str(exc)
     print("error: %s" % message, file=sys.stderr)
     return code

@@ -5,7 +5,7 @@ non-negative integer points that contains, with every point, all of its
 coordinatewise predecessors.  Lower sets of cardinality n are in
 bijection with d-dimensional integer partitions of n, which gives fast
 independent counting routes for d = 2 (ordinary partitions) and d = 3
-(plane partitions).
+(plane partitions, by MacMahon's sigma_2 recurrence).
 
 Enumeration uses a canonical depth-first growth: a lower set is built by
 appending addable points in strictly lexicographically increasing order.
@@ -16,16 +16,20 @@ One iterative walk with an explicit stack feeds both enumeration and
 the DFS count, so depth is limited by n alone, not by the interpreter's
 recursion limit.  Its output is lex-sorted and downward closed by
 construction, so enumeration wraps it in LowerSet without re-validating;
-the public constructor still validates all outside input.  Subtrees are
-independent, which keeps memory at O(n) and would allow parallel
-exploration; all functions here are pure and single threaded.
+the public constructor still validates all outside input.  The walk
+also tallies the sets it visits per depth; since the growth passes
+through every lower set of size at most n, one walk to n yields the
+whole count table p_d(0..n), and :func:`count_table` is the one place
+that picks an oracle or that walk.  Subtrees are independent, which
+keeps memory at O(n) and would allow parallel exploration; all functions
+here are pure and single threaded.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 Coords = tuple[int, ...]
 
@@ -166,27 +170,37 @@ def _merge_sorted(a: tuple[Coords, ...], b: list[Coords]) -> tuple[Coords, ...]:
     return tuple(out)
 
 
-def _walk(dim: int, size: int, budget: int) -> Iterator[list[Coords]]:
+def _walk(dim: int, size: int, budget: int) -> Generator[list[Coords], None, list[int]]:
     """The canonical growth, yielding the shared chain at depth ``size``.
 
     An explicit stack of [frontier, next_index] frames replaces
     recursion, so the depth is bounded by ``size`` alone.  A frame's
     frontier holds the addable points lex-greater than the last chain
-    point, in lex order.  Every visited set of size 1..size counts as a
-    node against ``budget``.  The yielded list is mutated as the walk
-    goes on; callers copy what they keep.
+    point, in lex order.  Every visited set of size 1..size, the origin
+    included, counts as a node against ``budget``.  The yielded list is
+    mutated as the walk goes on; callers copy what they keep.
+
+    On completion the walk returns ``levels``, where ``levels[k]`` is the
+    number of sets of size k it visited, which is p_dim(k) for every
+    k <= size.  Each frontier point is visited exactly once, one level
+    below the frame that holds it, so frames are tallied when pushed.
     """
     if size == 0:
         yield []
-        return
+        return [1]
+    if budget < 1:
+        raise BudgetExceededError("budget exceeded")
     origin = (0,) * dim
     members = {origin}
     chain = [origin]
     nodes = 1
+    levels = [1, 1] + [0] * (size - 1)
     if size == 1:
         yield chain
-        return
-    stack = [[tuple(sorted(_successors(origin, dim))), 0]]
+        return levels
+    frontier = tuple(sorted(_successors(origin, dim)))
+    levels[2] = len(frontier)
+    stack = [[frontier, 0]]
     while stack:
         frame = stack[-1]
         frontier, j = frame
@@ -201,14 +215,18 @@ def _walk(dim: int, size: int, budget: int) -> Iterator[list[Coords]]:
             raise BudgetExceededError("budget exceeded")
         members.add(p)
         chain.append(p)
-        if len(chain) == size:
+        depth = len(chain)
+        if depth == size:
             yield chain
             chain.pop()
             members.discard(p)
             continue
         fresh = [s for s in _successors(p, dim) if _preds_present(s, members)]
         fresh.sort()
-        stack.append([_merge_sorted(frontier[j + 1:], fresh), 0])
+        frontier = _merge_sorted(frontier[j + 1:], fresh)
+        levels[depth + 1] += len(frontier)
+        stack.append([frontier, 0])
+    return levels
 
 
 def enumerate_lower_sets(
@@ -228,6 +246,42 @@ def enumerate_lower_sets(
         yield LowerSet._trusted(dim, tuple(chain))
 
 
+def count_table(
+    dim: int,
+    n_max: int,
+    method: str = "auto",
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> list[int]:
+    """Exact counts p_dim(0..n_max) of lower sets, as a list.
+
+    ``method="auto"`` takes the partition oracles for dim <= 3 (every
+    count is 1 for dim = 1); ``"dfs"``, and ``"auto"`` for dim >= 4,
+    take the per-depth tally of one canonical walk to size ``n_max``.
+    Both methods agree on all inputs.  The whole table costs what its
+    last entry costs: it raises BudgetExceededError exactly when
+    ``count_lower_sets(dim, n_max, method, budget)`` does.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if n_max < 0:
+        raise ValueError("size must be non-negative")
+    if method not in ("dfs", "auto"):
+        raise ValueError("unknown method: %r" % (method,))
+    if method == "auto":
+        if dim == 1:
+            return [1] * (n_max + 1)
+        if dim == 2:
+            return partition_oracle_2d(n_max)
+        if dim == 3:
+            return plane_partition_oracle_3d(n_max)
+    walk = _walk(dim, n_max, budget)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            return done.value
+
+
 def count_lower_sets(
     dim: int,
     size: int,
@@ -236,25 +290,11 @@ def count_lower_sets(
 ) -> int:
     """Number of lower sets of the given size in Z_+^dim, exactly.
 
-    ``method="dfs"`` forces the canonical enumeration walk.  ``"auto"``
-    dispatches to the partition oracles for dim <= 3 and falls back to
-    the walk otherwise; both methods agree on all inputs.  A count is
-    either exact or BudgetExceededError is raised, never approximate.
+    The last entry of :func:`count_table` with the same arguments; a
+    count is either exact or BudgetExceededError is raised, never
+    approximate.
     """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    if method not in ("dfs", "auto"):
-        raise ValueError("unknown method: %r" % (method,))
-    if method == "auto":
-        if dim == 1:
-            return 1
-        if dim == 2:
-            return partition_oracle_2d(size)[size]
-        if dim == 3:
-            return plane_partition_oracle_3d(size)[size]
-    return sum(1 for _ in _walk(dim, size, budget))
+    return count_table(dim, size, method, budget)[size]
 
 
 def partition_oracle_2d(n_max: int) -> list[int]:
@@ -272,19 +312,23 @@ def partition_oracle_2d(n_max: int) -> list[int]:
 
 
 def plane_partition_oracle_3d(n_max: int) -> list[int]:
-    """Plane partition numbers pp(0..n_max).
+    """Plane partition numbers pp(0..n_max) by MacMahon's recurrence.
 
-    Extracts coefficients of prod_{k>=1} (1 - q^k)^(-k) by applying the
-    geometric factor (1 - q^k)^(-1) k times for each k.
+    n pp(n) = sum_{k=1..n} sigma_2(k) pp(n - k), where sigma_2(k) is the
+    sum of the squares of the divisors of k; it follows from the
+    logarithmic derivative of prod_{k>=1} (1 - q^k)^(-k).  O(n^2) exact
+    integer work, independent of the enumeration walk.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    coef = [1] + [0] * n_max
-    for k in range(1, n_max + 1):
-        for _ in range(k):
-            for total in range(k, n_max + 1):
-                coef[total] += coef[total - k]
-    return coef
+    sigma2 = [0] * (n_max + 1)
+    for a in range(1, n_max + 1):
+        for b in range(a, n_max + 1, a):
+            sigma2[b] += a * a
+    pp = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        pp[n] = sum(sigma2[k] * pp[n - k] for k in range(1, n + 1)) // n
+    return pp
 
 
 def to_partition(q: LowerSet) -> Partition:

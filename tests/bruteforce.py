@@ -2,8 +2,9 @@
 
 Nothing here shares algorithms with the library: the subset filter
 walks in/out decisions over box cells in lex order, the combinations
-filter literally tests every n-subset, and the partition lister builds
-non-increasing tuples directly.
+filter literally tests every n-subset, the partition lister builds
+non-increasing tuples directly, and plane partitions come from
+expanding MacMahon's product rather than from its sigma_2 recurrence.
 """
 
 from __future__ import annotations
@@ -109,3 +110,17 @@ def pascal_binomial(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def plane_partitions_by_product(n_max: int) -> list[int]:
+    """PP(0..n_max) as coefficients of prod_{k>=1} (1 - q^k)^(-k).
+
+    Applies the geometric factor (1 - q^k)^(-1) k times for each k;
+    cubic in n_max.
+    """
+    coef = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for _ in range(k):
+            for total in range(k, n_max + 1):
+                coef[total] += coef[total - k]
+    return coef

@@ -1,11 +1,18 @@
 """Exit codes, output formats, and reproducibility of the command line."""
 
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from lowersets import bounds as bnd
 from lowersets import cli, core
+from lowersets import discretization as disc
 
 
 def run(argv, capsys):
@@ -95,6 +102,41 @@ def test_count_library_error_is_one_line(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: dimension must be at least 1\n"
+
+
+def test_count_negative_size_is_one_line(capsys):
+    code, out, err = run(["count", "--d", "2", "--n=-2..3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: size must be non-negative\n"
+
+
+@pytest.mark.parametrize("method", ["auto", "dfs"])
+def test_count_rows_match_per_row_counts(method, capsys):
+    code, out, _ = run(["count", "--d", "1..5", "--n", "0..8", "--method", method],
+                       capsys)
+    assert code == 0
+    rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
+    assert rows == [(d, n, core.count_lower_sets(d, n, method))
+                    for d in range(1, 6) for n in range(9)]
+
+
+# Solid partitions p_4(1..8), OEIS A000293: a walk to n = 8 visits their sum.
+WALK_4_8_NODES = sum([1, 4, 10, 26, 59, 140, 307, 684])
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--d", "2..4", "--n", "1..8", "--method", "dfs"],
+    ["bounds", "--d", "2..4", "--n", "1..8"],
+])
+def test_range_budget_is_the_last_rows_budget(argv, monkeypatch, capsys):
+    last_row = argv[:2] + ["4", "--n", "8"] + argv[5:]
+    monkeypatch.setenv(cli.BUDGET_ENV, str(WALK_4_8_NODES))
+    assert run(argv, capsys)[0] == 0
+    assert run(last_row, capsys)[0] == 0
+    monkeypatch.setenv(cli.BUDGET_ENV, str(WALK_4_8_NODES - 1))
+    for args in (argv, last_row):
+        assert run(args, capsys) == (2, "", "error: budget exceeded\n")
 
 
 def test_count_bad_budget_env(monkeypatch, capsys):
@@ -309,6 +351,62 @@ def test_discretize_unwritable_out_is_one_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert str(target) in err
+
+
+def test_discretize_eigensolver_failure_is_one_line(monkeypatch, capsys):
+    def nan_spectrum(a):
+        return np.full(a.shape[:-1], np.nan)
+    monkeypatch.setattr(disc.np.linalg, "eigvalsh", nan_spectrum)
+    code, out, err = run(
+        ["discretize", "--d", "2", "--n", "3", "--m", "8", "--seed", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: non-finite Gram eigenvalue for n=3 m=8\n"
+
+
+# -- atomic output files -----------------------------------------------------------
+
+def _discretize_to(report, points):
+    return ["discretize", "--d", "2", "--n", "3", "--m", "16", "--seed", "7",
+            "--out", str(report), "--points-out", str(points)]
+
+
+def test_successful_run_leaves_only_targets(tmp_path, capsys):
+    report, points = tmp_path / "report.json", tmp_path / "points.csv"
+    points.write_text("stale\n")
+    assert run(_discretize_to(report, points), capsys)[0] == 0
+    assert sorted(os.listdir(tmp_path)) == ["points.csv", "report.json"]
+    assert len(points.read_text().splitlines()) == 16
+    mask = os.umask(0)
+    os.umask(mask)
+    for target in (report, points):
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+
+
+def test_failing_points_out_leaves_no_temp_file(tmp_path, capsys):
+    report, points = tmp_path / "report.json", tmp_path / "points"
+    points.mkdir()  # the rename onto a directory fails after the write
+    code, out, err = run(_discretize_to(report, points), capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: [Errno %d] %s: '%s'\n" % (
+        errno.EISDIR, os.strerror(errno.EISDIR), points)
+    assert sorted(os.listdir(tmp_path)) == ["points", "report.json"]
+    assert os.listdir(points) == []
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "counts.csv"
+    target.write_text("old\n")
+
+    def no_rename(src, dst):
+        raise OSError(errno.EIO, os.strerror(errno.EIO), src, None, dst)
+    monkeypatch.setattr(cli.os, "replace", no_rename)
+    code, _, err = run(["count", "--d", "2", "--n", "5", "--out", str(target)], capsys)
+    assert code == 1
+    assert err == "error: [Errno %d] %s: '%s'\n" % (errno.EIO, os.strerror(errno.EIO), target)
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["counts.csv"]
 
 
 # -- reproducibility ---------------------------------------------------------------

@@ -14,6 +14,7 @@ from bruteforce import (
     box_filter_lower_sets,
     combinations_filter_lower_sets,
     list_partitions,
+    plane_partitions_by_product,
 )
 from lowersets import core
 from lowersets.core import LowerSet, Partition
@@ -156,6 +157,38 @@ FOUR_DIM_PARTITIONS = [1, 1, 5, 15, 45, 120, 326, 835, 2145, 5345, 13220]
 @pytest.mark.parametrize("d,table", [(4, SOLID_PARTITIONS), (5, FOUR_DIM_PARTITIONS)])
 def test_dfs_counts_match_oeis(d, table):
     assert [core.count_lower_sets(d, n, "dfs") for n in range(len(table))] == table
+    # one walk to the largest n tallies every smaller size on the way
+    assert core.count_table(d, len(table) - 1, "dfs") == table
+
+
+@pytest.mark.parametrize("method", ["dfs", "auto"])
+@pytest.mark.parametrize("d,n", [(1, 12), (2, 12), (3, 11), (4, 9), (5, 8)])
+def test_count_table_matches_per_size_counts(d, n, method):
+    table = core.count_table(d, n, method)
+    assert table == [core.count_lower_sets(d, k, method) for k in range(n + 1)]
+
+
+def test_count_table_errors_match_count_lower_sets():
+    for args, message in (((0, 3), "dimension"), ((2, -1), "size"),
+                          ((0, -1), "dimension")):
+        with pytest.raises(ValueError, match=message):
+            core.count_table(*args)
+        with pytest.raises(ValueError, match=message):
+            core.count_lower_sets(*args)
+    with pytest.raises(ValueError, match="unknown method"):
+        core.count_table(2, 3, method="guess")
+
+
+def test_origin_counts_against_the_budget():
+    with pytest.raises(core.BudgetExceededError):
+        core.count_lower_sets(2, 1, "dfs", budget=0)
+    with pytest.raises(core.BudgetExceededError):
+        list(core.enumerate_lower_sets(3, 1, budget=0))
+    assert core.count_lower_sets(2, 1, "dfs", budget=1) == 1
+    assert [q.points for q in core.enumerate_lower_sets(3, 1, budget=1)] == [((0, 0, 0),)]
+    # size 0 visits no node, so no budget is too small for it
+    assert core.count_table(4, 0, "dfs", budget=0) == [1]
+    assert [q.points for q in core.enumerate_lower_sets(2, 0, budget=0)] == [()]
 
 
 def test_deep_chain_has_no_recursion_limit():
@@ -173,6 +206,9 @@ def test_budget_boundary_is_exact(d, n):
     assert len(list(core.enumerate_lower_sets(d, n, budget=nodes))) == sizes[n]
     with pytest.raises(core.BudgetExceededError):
         core.count_lower_sets(d, n, "dfs", budget=nodes - 1)
+    assert core.count_table(d, n, "dfs", budget=nodes) == sizes[:n + 1]
+    with pytest.raises(core.BudgetExceededError):
+        core.count_table(d, n, "dfs", budget=nodes - 1)
     got = []
     with pytest.raises(core.BudgetExceededError):
         for q in core.enumerate_lower_sets(d, n, budget=nodes - 1):
@@ -186,8 +222,18 @@ def test_partition_oracle_2d():
     assert core.partition_oracle_2d(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
+# Plane partitions, OEIS A000219.
+PLANE_PARTITIONS = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479, 2485,
+                    4167, 6879, 11297, 18334, 29601, 47330, 75278]
+
+
+def test_plane_partition_recurrence_matches_product_expansion():
+    assert core.plane_partition_oracle_3d(150) == plane_partitions_by_product(150)
+    assert core.plane_partition_oracle_3d(0) == [1]
+
+
 def test_plane_partition_oracle_3d():
-    assert core.plane_partition_oracle_3d(6)[:7] == [1, 1, 3, 6, 13, 24, 48]
+    assert core.plane_partition_oracle_3d(20) == PLANE_PARTITIONS
     # cross-checked against the box filter, an unrelated route
     for n in range(8):
         assert core.plane_partition_oracle_3d(n)[n] == len(box_filter_lower_sets(3, n))
