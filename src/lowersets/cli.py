@@ -5,12 +5,13 @@ or an unwritable output file) or a failed eigensolve (EigenSolverError),
 2 node budget exceeded, 3 targets unmet (a bound flag failed,
 certification missed its targets, or the minimal-m search was
 exhausted).  Outputs carry no timestamps and all randomness is seeded,
-so identical configurations write byte-identical files.  ``--out`` and
-``--points-out`` are written to a temp file beside the target and
-renamed over it, so a failed run leaves no partial file.  ``count`` and
-``bounds`` build one count table per dimension, up to the largest n of
-the range.  The LOWERSET_BUDGET environment variable overrides the
-default DFS node budget.
+so identical configurations write byte-identical files.  A new or
+regular ``--out`` or ``--points-out`` file is written to a temp file
+beside it and renamed over it, keeping its mode, so a failed run leaves
+no partial file; symlinks, devices, FIFOs and hard-linked files are
+written in place.  ``count`` and ``bounds`` build one count table per dimension,
+up to the largest n of the range.  The LOWERSET_BUDGET environment
+variable overrides the default DFS node budget.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from . import bounds as bnd
@@ -168,36 +170,68 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to stdout, or through a temp file renamed over ``out``."""
+    """Write ``text`` to stdout, or to the file ``out`` (see _write_file)."""
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".%s." % os.path.basename(out),
-                                   dir=os.path.dirname(out) or ".")
+        _write_file(text, out)
+    except OSError as exc:  # name the target, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, out) from None
+
+
+def _write_file(text: str, out: str) -> None:
+    """Replace a new file, or an existing regular one, atomically.
+
+    A missing target, or a regular file of ours with one link, is
+    written to a temp file beside it, given the target's mode (the
+    umask's for a new file), and renamed over it; on any error the temp
+    file is removed and the target is left as it was.  Any other target
+    (a symlink such as /dev/stdout, a device, a FIFO, a directory, a
+    hard-linked or foreign file), or one whose directory refuses the
+    temp file, is written in place as ``open(out, "w")`` would.
+    """
+    try:
+        st = os.lstat(out)
+    except FileNotFoundError:
+        st = None
+    fd = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                      and st.st_uid == os.geteuid()):
+        if st is not None:  # refuse a target that open(out, "w") would refuse
+            os.close(os.open(out, os.O_WRONLY))
+        tmp = os.path.join(os.path.dirname(out), ".%s.%s.tmp" % (
+            os.path.basename(out), secrets.token_hex(8)))
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except PermissionError:
+            pass
+    if fd is None:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            mask = os.umask(0)
-            os.umask(mask)
-            os.fchmod(fd, 0o666 & ~mask)  # the mode open(out, "w") would give
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException as exc:
-        if tmp is not None:
-            os.unlink(tmp)
-        if isinstance(exc, OSError):  # name the target, not the temp file
-            raise type(exc)(exc.errno, exc.strerror, out) from None
+    except BaseException:
+        os.unlink(tmp)
         raise
 
 
 def _count_rows(cfg: RunConfig, method: str) -> list[tuple[int, int, int]]:
     """(d, n, p_d(n)) over the grid, read from one count table per d."""
     lo, hi = cfg.n_range.start, cfg.n_range[-1]
+    if lo < 0:  # the library's dimension or size error, as the first row raises it
+        core.count_lower_sets(cfg.d_range.start, lo, method)
     rows = []
     for d in cfg.d_range:
-        # a negative lo fails here with the size error, before any walk
-        table = core.count_table(d, lo if lo < 0 else hi, method=method,
-                                 budget=cfg.budget)
+        if d == 1 and method == "auto":  # O(1) per row, no table of hi + 1 ones
+            rows += [(d, n, core.count_lower_sets(d, n)) for n in cfg.n_range]
+            continue
+        table = core.count_table(d, hi, method=method, budget=cfg.budget)
         rows += [(d, n, table[n]) for n in cfg.n_range]
     return rows
 

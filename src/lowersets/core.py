@@ -182,8 +182,7 @@ def _walk(dim: int, size: int, budget: int) -> Generator[list[Coords], None, lis
 
     On completion the walk returns ``levels``, where ``levels[k]`` is the
     number of sets of size k it visited, which is p_dim(k) for every
-    k <= size.  Each frontier point is visited exactly once, one level
-    below the frame that holds it, so frames are tallied when pushed.
+    k <= size.
     """
     if size == 0:
         yield []
@@ -199,7 +198,6 @@ def _walk(dim: int, size: int, budget: int) -> Generator[list[Coords], None, lis
         yield chain
         return levels
     frontier = tuple(sorted(_successors(origin, dim)))
-    levels[2] = len(frontier)
     stack = [[frontier, 0]]
     while stack:
         frame = stack[-1]
@@ -216,6 +214,7 @@ def _walk(dim: int, size: int, budget: int) -> Generator[list[Coords], None, lis
         members.add(p)
         chain.append(p)
         depth = len(chain)
+        levels[depth] += 1
         if depth == size:
             yield chain
             chain.pop()
@@ -224,7 +223,6 @@ def _walk(dim: int, size: int, budget: int) -> Generator[list[Coords], None, lis
         fresh = [s for s in _successors(p, dim) if _preds_present(s, members)]
         fresh.sort()
         frontier = _merge_sorted(frontier[j + 1:], fresh)
-        levels[depth + 1] += len(frontier)
         stack.append([frontier, 0])
     return levels
 
@@ -292,8 +290,10 @@ def count_lower_sets(
 
     The last entry of :func:`count_table` with the same arguments; a
     count is either exact or BudgetExceededError is raised, never
-    approximate.
+    approximate.  ``p_1(size)`` is 1 under ``"auto"``, without a table.
     """
+    if dim == 1 and method == "auto" and size >= 0:
+        return 1
     return count_table(dim, size, method, budget)[size]
 
 

@@ -6,6 +6,8 @@ import os
 import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +111,23 @@ def test_count_negative_size_is_one_line(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: size must be non-negative\n"
+
+
+def test_count_dimension_error_comes_before_size_error(capsys):
+    code, out, err = run(["count", "--d", "0..2", "--n=-1..3"], capsys)
+    assert (code, out, err) == (1, "", "error: dimension must be at least 1\n")
+
+
+def test_count_dimension_one_far_size(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(["count", "--d", "1", "--n", "999999..1000000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == "d,n,p_d_n\n1,999999,1\n1,1000000,1\n"
+    assert peak < 1_000_000  # a table of 10**6 + 1 entries takes 8 MB
 
 
 @pytest.mark.parametrize("method", ["auto", "dfs"])
@@ -383,16 +402,112 @@ def test_successful_run_leaves_only_targets(tmp_path, capsys):
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
 
 
-def test_failing_points_out_leaves_no_temp_file(tmp_path, capsys):
-    report, points = tmp_path / "report.json", tmp_path / "points"
-    points.mkdir()  # the rename onto a directory fails after the write
+def test_failing_points_out_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    report, points = tmp_path / "report.json", tmp_path / "points.csv"
+    points.write_text("stale\n")
+    real_replace = os.replace
+
+    def replace(src, dst):  # the rename onto the points file fails after the write
+        if dst == str(points):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src, None, dst)
+        real_replace(src, dst)
+    monkeypatch.setattr(cli.os, "replace", replace)
     code, out, err = run(_discretize_to(report, points), capsys)
     assert code == 1
     assert out == ""
     assert err == "error: [Errno %d] %s: '%s'\n" % (
-        errno.EISDIR, os.strerror(errno.EISDIR), points)
-    assert sorted(os.listdir(tmp_path)) == ["points", "report.json"]
-    assert os.listdir(points) == []
+        errno.EIO, os.strerror(errno.EIO), points)
+    assert sorted(os.listdir(tmp_path)) == ["points.csv", "report.json"]
+    assert points.read_text() == "stale\n"
+
+
+def test_directory_target_is_one_line(tmp_path, capsys):
+    target = tmp_path / "points"
+    target.mkdir()
+    code, out, err = run(["count", "--d", "2", "--n", "5", "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno %d] %s: '%s'\n" % (
+        errno.EISDIR, os.strerror(errno.EISDIR), target)
+    assert os.listdir(tmp_path) == ["points"]
+    assert os.listdir(target) == []
+
+
+def _count_to(target):
+    return ["count", "--d", "2", "--n", "5", "--out", str(target)]
+
+
+COUNT_2_5 = "d,n,p_d_n\n2,5,7\n"
+
+
+def test_existing_target_keeps_its_mode(tmp_path, capsys):
+    target = tmp_path / "counts.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    assert run(_count_to(target), capsys)[0] == 0
+    assert target.read_text() == COUNT_2_5
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["counts.csv"]
+
+
+def test_fifo_target_is_written_not_replaced(tmp_path, capsys):
+    fifo = tmp_path / "counts.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(_count_to(fifo), capsys)[0] == 0
+    reader.join(timeout=10)
+    assert got == [COUNT_2_5]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["counts.fifo"]
+
+
+def test_links_are_written_through(tmp_path, capsys):
+    target, hard, soft = tmp_path / "counts.csv", tmp_path / "hard.csv", tmp_path / "soft.csv"
+    target.write_text("old\n")
+    os.link(target, hard)
+    soft.symlink_to(target)
+    assert run(_count_to(hard), capsys)[0] == 0
+    assert target.read_text() == COUNT_2_5
+    assert os.path.samefile(target, hard)
+    target.write_text("old\n")
+    assert run(_count_to(soft), capsys)[0] == 0
+    assert soft.is_symlink()
+    assert target.read_text() == COUNT_2_5
+    assert sorted(os.listdir(tmp_path)) == ["counts.csv", "hard.csv", "soft.csv"]
+
+
+def test_read_only_target_is_refused_as_open_would(tmp_path, capsys):
+    target = tmp_path / "counts.csv"
+    target.write_text("old\n")
+    target.chmod(0o444)
+    try:  # the superuser may still open it for writing
+        open(target, "a").close()
+        writable = True
+    except PermissionError:
+        writable = False
+    code, _, err = run(_count_to(target), capsys)
+    assert code == (0 if writable else 1)
+    assert target.read_text() == (COUNT_2_5 if writable else "old\n")
+    if not writable:
+        assert err == "error: [Errno %d] %s: '%s'\n" % (
+            errno.EACCES, os.strerror(errno.EACCES), target)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o444
+    assert os.listdir(tmp_path) == ["counts.csv"]
+
+
+def test_target_in_read_only_directory_is_written(tmp_path, capsys):
+    folder = tmp_path / "locked"
+    folder.mkdir()
+    target = folder / "counts.csv"
+    target.write_text("old\n")
+    folder.chmod(0o555)
+    try:
+        assert run(_count_to(target), capsys)[0] == 0
+        assert target.read_text() == COUNT_2_5
+        assert os.listdir(folder) == ["counts.csv"]
+    finally:
+        folder.chmod(0o755)
 
 
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from hand-checked tiny cases, never from the code under test.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,18 @@ def test_origin_counts_against_the_budget():
     # size 0 visits no node, so no budget is too small for it
     assert core.count_table(4, 0, "dfs", budget=0) == [1]
     assert [q.points for q in core.enumerate_lower_sets(2, 0, budget=0)] == [()]
+
+
+def test_dimension_one_auto_count_builds_no_table():
+    tracemalloc.start()
+    try:
+        assert core.count_lower_sets(1, 10**6) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a table of 10**6 + 1 entries takes 8 MB
+    with pytest.raises(ValueError, match="size must be non-negative"):
+        core.count_lower_sets(1, -1)
 
 
 def test_deep_chain_has_no_recursion_limit():
