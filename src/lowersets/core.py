@@ -12,16 +12,22 @@ appending addable points in strictly lexicographically increasing order.
 The lex-sorted listing of any lower set is itself such a growth sequence
 (every prefix is downward closed because predecessors are lex-smaller),
 and it is the only one, so each lower set is produced exactly once.
-One iterative walk with an explicit stack feeds both enumeration and
-the DFS count, so depth is limited by n alone, not by the interpreter's
-recursion limit.  Its output is lex-sorted and downward closed by
-construction, so enumeration wraps it in LowerSet without re-validating;
-the public constructor still validates all outside input.  The walk
-also tallies the sets it visits per depth; since the growth passes
-through every lower set of size at most n, one walk to n yields the
-whole count table p_d(0..n), and :func:`count_table` is the one place
-that picks an oracle or that walk.  Subtrees are independent, which
-keeps memory at O(n) and would allow parallel exploration; all functions
+One iterative walk with explicit stacks feeds enumeration, the DFS
+count and the discretization family, so depth is limited by n alone, not
+by the interpreter's recursion limit.  It runs on indices into the
+lex-sorted shifted hyperbolic cross F_n = {k : prod(k_i + 1) <= n},
+which holds every lower set of size at most n, so index order is lex
+order.  Each walk tables the in-cross successors of every cell once, and
+the addability test reads a bytearray of present cells.  Its
+output is lex-sorted and downward closed by construction, so
+enumeration wraps it in LowerSet without re-validating; the public
+constructor still validates all outside input.  The walk also tallies
+the sets it visits per depth; since the growth passes through every
+lower set of size at most n, one walk to n yields the whole count table
+p_d(0..n), and :func:`count_table` is the one place that picks an oracle
+or that walk.  Besides the table of F_n, which holds
+O(n (1 + ln n)^(d-1)) cells, the walk keeps O(n) frontiers; subtrees
+are independent, which would allow parallel exploration.  All functions
 here are pure and single threaded.
 """
 
@@ -157,28 +163,91 @@ def corners(q: LowerSet) -> set[Coords]:
     }
 
 
-def _successors(p: Coords, dim: int) -> list[Coords]:
-    return [p[:i] + (p[i] + 1,) + p[i + 1:] for i in range(dim)]
+def _cross(dim: int, size: int) -> list[Coords]:
+    """The shifted hyperbolic cross {k : prod(k_i + 1) <= size}, lex-sorted.
+
+    A lower set holding k holds the whole box of prod(k_i + 1) cells
+    below k, so every lower set of size at most ``size`` lies in the
+    cross; its lex-smallest cell is the origin.  Each cell grows from
+    the prefix before its last nonzero coordinate: the zero-padded prefix
+    comes first, then, later positions first and smaller values first,
+    the cells with one more nonzero coordinate.  That is lex order, each
+    cell costs O(dim) however wide the cross is, and since every nonzero
+    coordinate at least doubles the box, the recursion is at most
+    log2(size) + 1 deep.
+    """
+    cells: list[Coords] = []
+
+    def grow(p: Coords, box: int) -> None:
+        cells.append(p + (0,) * (dim - len(p)))
+        room = size // box
+        if room > 1:
+            for j in range(dim - 1, len(p) - 1, -1):
+                gap = p + (0,) * (j - len(p))
+                for c in range(1, room):
+                    grow(gap + (c,), box * (c + 1))
+
+    if size >= 1:
+        grow((), 1)
+    return cells
 
 
-def _merge_sorted(a: tuple[Coords, ...], b: list[Coords]) -> tuple[Coords, ...]:
-    if not b:
-        return a
-    out = list(a)
-    out.extend(b)
-    out.sort()
-    return tuple(out)
+def _successor_table(
+    cells: list[Coords], size: int
+) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]:
+    """Per cell index of ``cells = _cross(dim, size)``, its successors
+    k + e_i inside the cross in increasing order, and per successor the
+    indices of its other predecessors.
+
+    Equal rows of the second list are one shared tuple, and the
+    cell-to-index dict is dropped on return, so a long walk holds only
+    the cells and the two lists.
+    """
+    pos = {p: i for i, p in enumerate(cells)}
+    shared: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
+    nexts = []
+    needs = []
+    for p in cells:
+        box = 1
+        nonzero = []
+        for k, c in enumerate(p):
+            if c:
+                box *= c + 1
+                nonzero.append(k)
+        succ = []
+        need = []
+        # p + e_i is lex-greater for smaller i, so the row comes out sorted;
+        # a zero coordinate can grow only while the box can double
+        for i in reversed(range(len(p)) if 2 * box <= size else nonzero):
+            c = p[i]
+            if box // (c + 1) * (c + 2) <= size:
+                s = p[:i] + (c + 1,) + p[i + 1:]
+                succ.append(pos[s])
+                need.append(tuple([pos[s[:k] + (s[k] - 1,) + s[k + 1:]]
+                                   for k in nonzero if k != i]))
+        nexts.append(tuple(succ))
+        need = tuple(need)
+        needs.append(shared.setdefault(need, need))
+    return nexts, needs
 
 
-def _walk(dim: int, size: int, budget: int) -> Generator[list[Coords], None, list[int]]:
-    """The canonical growth, yielding the shared chain at depth ``size``.
+def _walk(cells: list[Coords], size: int, budget: int) -> Generator[list[int], None, list[int]]:
+    """The canonical growth over ``cells = _cross(dim, size)``, yielding the
+    shared chain of cell indices at depth ``size``.
 
-    An explicit stack of [frontier, next_index] frames replaces
-    recursion, so the depth is bounded by ``size`` alone.  A frame's
-    frontier holds the addable points lex-greater than the last chain
-    point, in lex order.  Every visited set of size 1..size, the origin
-    included, counts as a node against ``budget``.  The yielded list is
-    mutated as the walk goes on; callers copy what they keep.
+    The walk runs on indices into the lex-sorted cross, so index order
+    is lex order.  It first tables each cell's successors inside the
+    cross with their other predecessors (:func:`_successor_table`); a
+    successor outside the cross never becomes addable before depth
+    ``size``, so the walk stays exact.  A successor of the newest chain
+    cell is addable when all of its other predecessors are marked in a
+    bytearray of present cells.  Explicit stacks of frontiers and their
+    cursors replace recursion, so the depth is bounded by ``size`` alone.
+    A frontier is a tuple of the addable cells lex-greater than the last
+    chain cell, in increasing order.  Every visited set of size 1..size,
+    the origin included, counts as a node against ``budget``.  The
+    yielded list is mutated as the walk goes on; callers copy what they
+    keep.
 
     On completion the walk returns ``levels``, where ``levels[k]`` is the
     number of sets of size k it visited, which is p_dim(k) for every
@@ -189,41 +258,56 @@ def _walk(dim: int, size: int, budget: int) -> Generator[list[Coords], None, lis
         return [1]
     if budget < 1:
         raise BudgetExceededError("budget exceeded")
-    origin = (0,) * dim
-    members = {origin}
-    chain = [origin]
+    nexts, needs = _successor_table(cells, size)
+    present = bytearray(len(cells))
+    present[0] = 1
+    chain = [0]
     nodes = 1
     levels = [1, 1] + [0] * (size - 1)
     if size == 1:
         yield chain
         return levels
-    frontier = tuple(sorted(_successors(origin, dim)))
-    stack = [[frontier, 0]]
-    while stack:
-        frame = stack[-1]
-        frontier, j = frame
+    frontiers = [nexts[0]]
+    cursors = [0]
+    while frontiers:
+        frontier = frontiers[-1]
+        j = cursors[-1]
         if j == len(frontier):
-            stack.pop()
-            members.discard(chain.pop())
+            frontiers.pop()
+            cursors.pop()
+            present[chain.pop()] = 0
             continue
-        frame[1] = j + 1
+        cursors[-1] = j + 1
         p = frontier[j]
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError("budget exceeded")
-        members.add(p)
         chain.append(p)
         depth = len(chain)
         levels[depth] += 1
         if depth == size:
             yield chain
             chain.pop()
-            members.discard(p)
             continue
-        fresh = [s for s in _successors(p, dim) if _preds_present(s, members)]
-        fresh.sort()
-        frontier = _merge_sorted(frontier[j + 1:], fresh)
-        stack.append([frontier, 0])
+        present[p] = 1
+        row = nexts[p]
+        fresh = []
+        # all(present[o] for o in others), without a generator per successor
+        for s, others in zip(row, needs[p]):
+            for o in others:
+                if not present[o]:
+                    break
+            else:
+                fresh.append(s)
+        frontier = frontier[j + 1:]
+        if len(fresh) == len(row) and not frontier:
+            frontier = row  # shared, so a long chain allocates no frontiers
+        elif fresh:
+            fresh.extend(frontier)
+            fresh.sort()
+            frontier = tuple(fresh)
+        frontiers.append(frontier)
+        cursors.append(0)
     return levels
 
 
@@ -240,8 +324,9 @@ def enumerate_lower_sets(
         raise ValueError("dimension must be at least 1")
     if size < 0:
         raise ValueError("size must be non-negative")
-    for chain in _walk(dim, size, budget):
-        yield LowerSet._trusted(dim, tuple(chain))
+    cells = _cross(dim, size)
+    for chain in _walk(cells, size, budget):
+        yield LowerSet._trusted(dim, tuple([cells[i] for i in chain]))
 
 
 def count_table(
@@ -272,7 +357,7 @@ def count_table(
             return partition_oracle_2d(n_max)
         if dim == 3:
             return plane_partition_oracle_3d(n_max)
-    walk = _walk(dim, n_max, budget)
+    walk = _walk(_cross(dim, n_max), n_max, budget)
     while True:
         try:
             next(walk)

@@ -12,7 +12,9 @@ exactly n, the best possible.
 
 Every lower set of size n lies in the shifted hyperbolic cross
 F = {k : prod(k_i + 1) <= n}, so the family sweep builds V once over F
-and the Gram G_F = (1/m) V* V once per point set.  The Gram of each
+and the Gram G_F = (1/m) V* V once per point set.  The core walk runs on
+indices into the lex-sorted F, and the family reads those index chains
+as they are, without re-deriving F from the sets.  The Gram of each
 T(Q) is then the principal submatrix of G_F on the rows of Q, and the
 submatrices go through ``eigvalsh`` stacked, a bounded chunk at a time.
 ``gram_matrix`` and ``gram_spectrum`` remain the per-set reference.
@@ -29,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +41,9 @@ from .core import (
     BudgetExceededError,
     Coords,
     LowerSet,
-    enumerate_lower_sets,
+    _cross,
+    _walk,
+    enumerate_lower_sets,  # noqa: F401  (bench/spans.py wraps it by this name)
 )
 
 DEFAULT_C1 = 0.5
@@ -194,22 +199,26 @@ def _family(d: int, n: int, budget: int) -> tuple[list[Coords], np.ndarray]:
     """The cells F of all lower sets of size n, lex-sorted, and one row
     of indices into F per set, in walk order.
 
-    F is the union of the family, which is the shifted hyperbolic cross
-    {k : prod(k_i + 1) <= n}.  Each row is increasing because both F and
-    the points of a lower set are lex-sorted.
+    F is the shifted hyperbolic cross {k : prod(k_i + 1) <= n}, the cell
+    list the walk runs on; every cell of F lies in some lower set of size
+    n (its box plus a chain along the first axis).  The walk's chains of
+    cell indices are the rows as they are, so nothing re-derives F from
+    the sets.  Each row is increasing because the walk appends cells in
+    lex order.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    cells = _cross(d, n)
     try:
-        family = [q.points for q in enumerate_lower_sets(d, n, budget=budget)]
+        # each chain is read in full before the walk resumes and mutates it
+        flat = np.fromiter(chain.from_iterable(_walk(cells, n, budget)), dtype=np.intp)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             "budget exceeded while enumerating subspaces; try smaller n or d"
         ) from exc
-    cells = sorted({p for points in family for p in points})
-    pos = {p: i for i, p in enumerate(cells)}
-    index = np.array([[pos[p] for p in points] for points in family], dtype=np.intp)
-    return cells, index
+    return cells, flat.reshape(-1, n)
 
 
 def _extremes(
@@ -248,7 +257,7 @@ def _report(
     wmin, wmax = int(np.argmin(lo)), int(np.argmax(hi))
 
     def witness(row: int) -> LowerSet:
-        return LowerSet(d, tuple(cells[i] for i in index[row]))
+        return LowerSet._trusted(d, tuple(cells[i] for i in index[row]))
 
     bounds = {
         "thm6": n * n * math.log(d),

@@ -13,12 +13,15 @@ import pytest
 
 from bruteforce import (
     box_filter_lower_sets,
+    candidate_cells,
     combinations_filter_lower_sets,
     list_partitions,
+    pascal_binomial,
     plane_partitions_by_product,
 )
 from lowersets import core
 from lowersets.core import LowerSet, Partition
+from lowersets.discretization import hyperbolic_cross_size
 
 
 def _ls(dim, pts):
@@ -105,7 +108,9 @@ def test_enumerate_chain_only_in_1d():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_enumerate_matches_box_filter_small(d):
-    for n in range(7):
+    # A strictly lex-increasing stream of the whole family is unique, so
+    # passing this pins the stream set for set, not only as a set.
+    for n in range(9):
         stream = list(core.enumerate_lower_sets(d, n))
         # walk output skips validation, so run it through the public constructor
         for q in stream:
@@ -113,6 +118,31 @@ def test_enumerate_matches_box_filter_small(d):
         points = [q.points for q in stream]
         assert all(a < b for a, b in zip(points, points[1:]))
         assert set(points) == box_filter_lower_sets(d, n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_walk_cross_is_the_shifted_hyperbolic_cross(d):
+    for n in range(13):
+        cells = core._cross(d, n)
+        assert cells == candidate_cells(d, n)
+        assert len(cells) == hyperbolic_cross_size(d, n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 40])
+def test_wide_shallow_walks_match_closed_forms(d):
+    # size 2: {0, e_i}; size 3: the chains {0, e_i, 2e_i} and the
+    # corners {0, e_i, e_j}, i < j; size 4: d chains, 2 C(d, 2) L shapes
+    # {0, e_i, 2e_i, e_j}, C(d, 2) squares and C(d, 3) tripods
+    c2, c3 = pascal_binomial(d, 2), pascal_binomial(d, 3)
+    assert core.count_table(d, 4, "dfs") == [1, 1, d, d + c2, d + 3 * c2 + c3]
+
+
+def test_wide_shallow_walk_examples():
+    assert core.count_table(40, 3, "dfs") == [1, 1, 40, 820]
+    assert core.count_lower_sets(200, 3, "dfs") == 20100
+    stream = [q.points for q in core.enumerate_lower_sets(40, 3)]
+    assert len(stream) == 820
+    assert all(a < b for a, b in zip(stream, stream[1:]))
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 3), (1, 6)])

@@ -176,6 +176,9 @@ def _assert_sweep_matches_reference(dim, n, xs):
     assert rep.c2 == approx(max(s.lambda_max for s in specs), abs=1e-12)
     assert d.gram_spectrum(rep.witness_min, xs).lambda_min == approx(rep.c1, abs=1e-12)
     assert d.gram_spectrum(rep.witness_max, xs).lambda_max == approx(rep.c2, abs=1e-12)
+    # witnesses skip validation, so run them through the public constructor
+    for q in (rep.witness_min, rep.witness_max):
+        assert q == core.LowerSet(q.dim, q.points)
     return rep
 
 
@@ -222,6 +225,8 @@ def test_family_cells_are_the_shifted_hyperbolic_cross():
             assert len(cells) == d.hyperbolic_cross_size(dim, n)
             assert index.shape == (core.count_lower_sets(dim, n), n)
             assert np.all(np.diff(index, axis=1) > 0)
+            # every cell of the cross lies in some set of the family
+            assert np.array_equal(np.unique(index), np.arange(len(cells)))
 
 
 def test_non_finite_points_rejected():
@@ -371,3 +376,8 @@ def test_points_csv_roundtrip():
     rows = [line.split(",") for line in text.strip().split("\n")]
     back = np.array([[float(c) for c in row] for row in rows])
     assert np.array_equal(back, xs.points)
+
+
+def test_family_rejects_dimension_below_one():
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        d.search_minimal_m(0, 3)
