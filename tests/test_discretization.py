@@ -158,6 +158,16 @@ def test_universal_constants_budget():
         d.universal_constants(2, 6, xs, budget=3)
 
 
+def test_family_budget_below_the_cross_fails_before_building_it():
+    # the d = 1 cross of size 10**8 would take gigabytes; the budget stops it
+    xs = d.sample_points(1, 4, seed=1)
+    with pytest.raises(core.BudgetExceededError, match="smaller n or d"):
+        d.universal_constants(1, 10**8, xs, budget=10)
+    xs = d.sample_points(100, 4, seed=1)
+    with pytest.raises(core.BudgetExceededError, match="smaller n or d"):
+        d.universal_constants(100, 100, xs, budget=1000)
+
+
 # -- batched sweep against the per-set reference ------------------------------
 
 def _assert_sweep_matches_reference(dim, n, xs):
