@@ -22,7 +22,6 @@ import os
 import secrets
 import stat
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bnd
 from . import core, discretization as disc
@@ -32,28 +31,6 @@ BUDGET_ENV = "LOWERSET_BUDGET"
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
-
-    command: str
-    d_range: range
-    n_range: range
-    method: str = "auto"
-    fmt: str = "csv"
-    out: str | None = None
-    seed: int | None = None
-    trials: int = 10
-    c1: float = disc.DEFAULT_C1
-    c2: float = disc.DEFAULT_C2
-    m: int | None = None
-    m_max: int | None = None
-    search: bool = False
-    grid: bool = False
-    points_out: str | None = None
-    budget: int = core.DEFAULT_NODE_BUDGET
 
 
 def _parse_range(text: str) -> range:
@@ -128,21 +105,15 @@ def _budget_from_env() -> int:
     return value
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    budget = _budget_from_env()
-    if args.command == "count":
-        return RunConfig("count", args.d, args.n, method=args.method,
-                         fmt=args.format, out=args.out, budget=budget)
-    if args.command == "enumerate":
-        if args.d < 1 or args.n < 0:
-            raise _UsageError("need --d >= 1 and --n >= 0")
-        return RunConfig("enumerate", range(args.d, args.d + 1),
-                         range(args.n, args.n + 1), out=args.out, budget=budget)
-    if args.command == "bounds":
-        if args.d.start < 2 or args.n.start < 1:
-            raise _UsageError("bounds needs d >= 2 and n >= 1")
-        return RunConfig("bounds", args.d, args.n, fmt=args.format,
-                         out=args.out, budget=budget)
+def _check(args: argparse.Namespace) -> None:
+    """Reject invalid combinations in place and set ``args.budget``."""
+    args.budget = _budget_from_env()
+    if args.command == "enumerate" and (args.d < 1 or args.n < 0):
+        raise _UsageError("need --d >= 1 and --n >= 0")
+    if args.command == "bounds" and (args.d.start < 2 or args.n.start < 1):
+        raise _UsageError("bounds needs d >= 2 and n >= 1")
+    if args.command != "discretize":
+        return
     if args.m is None and not args.search:
         raise _UsageError("discretize needs --m or --search")
     if args.m is not None and args.search:
@@ -162,11 +133,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         raise _UsageError("--m-max must be positive")
     if not 0.0 < args.c1 <= 1.0 <= args.c2:
         raise _UsageError("targets must satisfy 0 < c1 <= 1 <= c2")
-    return RunConfig("discretize", range(args.d, args.d + 1),
-                     range(args.n, args.n + 1), fmt=args.format, out=args.out,
-                     seed=args.seed, trials=args.trials, c1=args.c1, c2=args.c2,
-                     m=args.m, m_max=args.m_max, search=args.search,
-                     grid=args.grid, points_out=args.points_out, budget=budget)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -221,45 +187,44 @@ def _write_file(text: str, out: str) -> None:
         raise
 
 
-def _count_rows(cfg: RunConfig, method: str) -> list[tuple[int, int, int]]:
+def _count_rows(args: argparse.Namespace, method: str) -> list[tuple[int, int, int]]:
     """(d, n, p_d(n)) over the grid, read from one count table per d."""
-    lo, hi = cfg.n_range.start, cfg.n_range[-1]
+    lo, hi = args.n.start, args.n[-1]
     if lo < 0:  # the library's dimension or size error, as the first row raises it
-        core.count_lower_sets(cfg.d_range.start, lo, method)
+        core.count_lower_sets(args.d.start, lo, method)
     rows = []
-    for d in cfg.d_range:
+    for d in args.d:
         if d == 1 and method == "auto":  # O(1) per row, no table of hi + 1 ones
-            rows += [(d, n, core.count_lower_sets(d, n)) for n in cfg.n_range]
+            rows += [(d, n, core.count_lower_sets(d, n)) for n in args.n]
             continue
-        table = core.count_table(d, hi, method=method, budget=cfg.budget)
-        rows += [(d, n, table[n]) for n in cfg.n_range]
+        table = core.count_table(d, hi, method=method, budget=args.budget)
+        rows += [(d, n, table[n]) for n in args.n]
     return rows
 
 
-def run_count(cfg: RunConfig) -> int:
-    rows = _count_rows(cfg, cfg.method)
-    if cfg.fmt == "csv":
+def run_count(args: argparse.Namespace) -> int:
+    rows = _count_rows(args, args.method)
+    if args.format == "csv":
         lines = ["d,n,p_d_n"] + ["%d,%d,%d" % r for r in rows]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         objs = [{"d": d, "n": n, "p_d_n": p} for d, n, p in rows]
-        _emit(_json_text(objs, cfg.fmt), cfg.out)
+        _emit(_json_text(objs, args.format), args.out)
     return 0
 
 
-def run_enumerate(cfg: RunConfig) -> int:
-    d, n = cfg.d_range.start, cfg.n_range.start
+def run_enumerate(args: argparse.Namespace) -> int:
     lines = [core.to_json_line(q)
-             for q in core.enumerate_lower_sets(d, n, budget=cfg.budget)]
-    _emit("\n".join(lines) + "\n", cfg.out)
+             for q in core.enumerate_lower_sets(args.d, args.n, budget=args.budget)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def run_bounds(cfg: RunConfig) -> int:
-    reports = [bnd.verify_bounds(d, n, p) for d, n, p in _count_rows(cfg, "auto")]
-    if cfg.fmt == "csv":
+def run_bounds(args: argparse.Namespace) -> int:
+    reports = [bnd.verify_bounds(d, n, p) for d, n, p in _count_rows(args, "auto")]
+    if args.format == "csv":
         lines = [bnd.BOUNDS_CSV_HEADER] + [bnd.bounds_csv_row(r) for r in reports]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         objs = []
         for r in reports:
@@ -267,7 +232,7 @@ def run_bounds(cfg: RunConfig) -> int:
                 r.d, r.n, r.ln_p, r.power_lo, r.power_hi, r.uniform,
                 r.hr, r.c_prime, r.c_upper, r.staircase_lo, ";".join(r.flags)]))
             objs.append(obj)
-        _emit(_json_text(objs, cfg.fmt), cfg.out)
+        _emit(_json_text(objs, args.format), args.out)
     failed = any(f.endswith(":fail") for r in reports for f in r.flags)
     return 3 if failed else 0
 
@@ -279,32 +244,29 @@ def _grid_side(d: int, m: int) -> int:
     return side
 
 
-def run_discretize(cfg: RunConfig) -> int:
-    d, n = cfg.d_range.start, cfg.n_range.start
-    if cfg.search:
-        assert cfg.seed is not None
+def run_discretize(args: argparse.Namespace) -> int:
+    d, n = args.d, args.n
+    if args.search:
         result = disc.search_minimal_m(
-            d, n, c1_target=cfg.c1, c2_target=cfg.c2,
-            trials_per_m=cfg.trials, seed=cfg.seed, m_max=cfg.m_max,
-            budget=cfg.budget)
+            d, n, c1_target=args.c1, c2_target=args.c2,
+            trials_per_m=args.trials, seed=args.seed, m_max=args.m_max,
+            budget=args.budget)
         report, xs = result.report, result.witness
-        extra = {"search": {"m_found": result.m, "seed": cfg.seed,
-                            "trials_per_m": cfg.trials,
-                            "targets": [cfg.c1, cfg.c2]}}
+        extra = {"search": {"m_found": result.m, "seed": args.seed,
+                            "trials_per_m": args.trials,
+                            "targets": [args.c1, args.c2]}}
     else:
-        assert cfg.m is not None
-        if cfg.grid:
-            side = _grid_side(d, cfg.m)
+        if args.grid:
+            side = _grid_side(d, args.m)
             xs = disc.tensor_grid(d, [side] * d)
         else:
-            assert cfg.seed is not None
-            xs = disc.sample_points(d, cfg.m, cfg.seed)
-        report = disc.universal_constants(d, n, xs, budget=cfg.budget)
-        extra = {"targets": [cfg.c1, cfg.c2]}
-    _emit(disc.report_json(report, extra) + "\n", cfg.out)
-    if cfg.points_out:
-        _emit(disc.points_csv(xs), cfg.points_out)
-    met = report.c1 >= cfg.c1 and report.c2 <= cfg.c2
+            xs = disc.sample_points(d, args.m, args.seed)
+        report = disc.universal_constants(d, n, xs, budget=args.budget)
+        extra = {"targets": [args.c1, args.c2]}
+    _emit(disc.report_json(report, extra) + "\n", args.out)
+    if args.points_out:
+        _emit(disc.points_csv(xs), args.points_out)
+    met = report.c1 >= args.c1 and report.c2 <= args.c2
     return 0 if met else 3
 
 
@@ -321,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
+        _check(args)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print("error: %s" % exc, file=sys.stderr)
@@ -329,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     runners = {"count": run_count, "enumerate": run_enumerate,
                "bounds": run_bounds, "discretize": run_discretize}
     try:
-        return runners[cfg.command](cfg)
+        return runners[args.command](args)
     except core.BudgetExceededError as exc:
         code, message = 2, str(exc)
     except disc.SearchExhausted as exc:

@@ -12,14 +12,15 @@ appending addable points in strictly lexicographically increasing order.
 The lex-sorted listing of any lower set is itself such a growth sequence
 (every prefix is downward closed because predecessors are lex-smaller),
 and it is the only one, so each lower set is produced exactly once.
-One iterative walk with explicit stacks feeds enumeration, the DFS
-count and the discretization family, so depth is limited by n alone, not
-by the interpreter's recursion limit.  It runs on indices into the
-lex-sorted shifted hyperbolic cross F_n = {k : prod(k_i + 1) <= n},
-which holds every lower set of size at most n, so index order is lex
-order.  Each walk tables the in-cross successors of every cell once, and
-the addability test reads a bytearray of present cells.  Its
-output is lex-sorted and downward closed by construction, so
+One iterative walk with explicit stacks, :func:`_walk`, feeds
+enumeration, the DFS count and the discretization family, so depth is
+limited by n alone, not by the interpreter's recursion limit.  It builds
+and runs on indices into the lex-sorted shifted hyperbolic cross
+F_n = {k : prod(k_i + 1) <= n}, which holds every lower set of size at
+most n, so index order is lex order.  Each walk tables the in-cross
+successors of every cell once and counts, per cell, its predecessors
+not yet in the chain; a cell becomes addable when that count reaches
+0.  Its output is lex-sorted and downward closed by construction, so
 enumeration wraps it in LowerSet without re-validating; the public
 constructor still validates all outside input.  The walk also tallies
 the sets it visits per depth; since the growth passes through every
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator
+from typing import Iterable, Iterator
 
 Coords = tuple[int, ...]
 
@@ -202,21 +203,15 @@ def _cross(dim: int, size: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Coord
     return cells
 
 
-def _successor_table(
-    cells: list[Coords], size: int
-) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]:
+def _successor_table(cells: list[Coords], size: int) -> list[tuple[int, ...]]:
     """Per cell index of ``cells = _cross(dim, size)``, its successors
-    k + e_i inside the cross in increasing order, and per successor the
-    indices of its other predecessors.
+    k + e_i inside the cross, in increasing order.
 
-    Equal rows of the second list are one shared tuple, and the
-    cell-to-index dict is dropped on return, so a long walk holds only
-    the cells and the two lists.
+    The cell-to-index dict is dropped on return, so a long walk holds
+    only the cells, the rows and its per-cell counts.
     """
     pos = {p: i for i, p in enumerate(cells)}
-    shared: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
     nexts = []
-    needs = []
     for p in cells:
         box = 1
         nonzero = []
@@ -225,100 +220,104 @@ def _successor_table(
                 box *= c + 1
                 nonzero.append(k)
         succ = []
-        need = []
         # p + e_i is lex-greater for smaller i, so the row comes out sorted;
         # a zero coordinate can grow only while the box can double
         for i in reversed(range(len(p)) if 2 * box <= size else nonzero):
             c = p[i]
             if box // (c + 1) * (c + 2) <= size:
-                s = p[:i] + (c + 1,) + p[i + 1:]
-                succ.append(pos[s])
-                need.append(tuple([pos[s[:k] + (s[k] - 1,) + s[k + 1:]]
-                                   for k in nonzero if k != i]))
+                succ.append(pos[p[:i] + (c + 1,) + p[i + 1:]])
         nexts.append(tuple(succ))
-        need = tuple(need)
-        needs.append(shared.setdefault(need, need))
-    return nexts, needs
+    return nexts
 
 
-def _walk(cells: list[Coords], size: int, budget: int) -> Generator[list[int], None, list[int]]:
-    """The canonical growth over ``cells = _cross(dim, size)``, yielding the
-    shared chain of cell indices at depth ``size``.
+def _walk(
+    dim: int, size: int, budget: int
+) -> tuple[list[Coords], list[int], Iterator[list[int]]]:
+    """The canonical growth of lower sets of size ``size`` in Z_+^dim, as
+    ``(cells, levels, chains)``.
+
+    ``cells = _cross(dim, size, budget)`` is built at once, so a budget
+    below its size raises here.  ``chains`` yields the shared chain of
+    indices into ``cells`` at depth ``size``; the list is mutated as the
+    walk goes on, so callers copy what they keep.  ``levels[k]`` is the
+    number of sets of size k visited, which is p_dim(k) for every
+    k <= size once ``chains`` is exhausted.
 
     The walk runs on indices into the lex-sorted cross, so index order
-    is lex order.  It first tables each cell's successors inside the
-    cross with their other predecessors (:func:`_successor_table`); a
-    successor outside the cross never becomes addable before depth
-    ``size``, so the walk stays exact.  A successor of the newest chain
-    cell is addable when all of its other predecessors are marked in a
-    bytearray of present cells.  Explicit stacks of frontiers and their
-    cursors replace recursion, so the depth is bounded by ``size`` alone.
-    A frontier is a tuple of the addable cells lex-greater than the last
-    chain cell, in increasing order.  Every visited set of size 1..size,
-    the origin included, counts as a node against ``budget``.  The
-    yielded list is mutated as the walk goes on; callers copy what they
-    keep.
-
-    On completion the walk returns ``levels``, where ``levels[k]`` is the
-    number of sets of size k it visited, which is p_dim(k) for every
-    k <= size.
+    is lex order.  It tables each cell's successors inside the cross
+    once (:func:`_successor_table`); a successor outside the cross never
+    becomes addable before depth ``size``, so the walk stays exact.  A
+    bytearray holds, per cell, how many of its predecessors are missing
+    from the chain: at first its number of nonzero coordinates, since
+    the cross is a lower set and holds them all.  Pushing a chain cell
+    takes one off the count of each successor, and those that reach 0
+    are the fresh addable cells; popping it puts the ones back.  Explicit
+    stacks of frontiers and their cursors replace recursion, so the
+    depth is bounded by ``size`` alone.  A frontier is a tuple of the
+    addable cells lex-greater than the last chain cell, in increasing
+    order.  Every visited set of size 1..size, the origin included,
+    counts as a node against ``budget``.  Each call has its own counts,
+    so walks are independent of each other.
     """
-    if size == 0:
-        yield []
-        return [1]
-    if budget < 1:
-        raise BudgetExceededError("budget exceeded")
-    nexts, needs = _successor_table(cells, size)
-    present = bytearray(len(cells))
-    present[0] = 1
-    chain = [0]
-    nodes = 1
-    levels = [1, 1] + [0] * (size - 1)
-    if size == 1:
-        yield chain
-        return levels
-    frontiers = [nexts[0]]
-    cursors = [0]
-    while frontiers:
-        frontier = frontiers[-1]
-        j = cursors[-1]
-        if j == len(frontier):
-            frontiers.pop()
-            cursors.pop()
-            present[chain.pop()] = 0
-            continue
-        cursors[-1] = j + 1
-        p = frontier[j]
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError("budget exceeded")
-        chain.append(p)
-        depth = len(chain)
-        levels[depth] += 1
-        if depth == size:
+    cells = _cross(dim, size, budget)
+    levels = [1] + [0] * size
+
+    def chains() -> Iterator[list[int]]:
+        if size == 0:
+            yield []
+            return
+        # the origin is node 1, and _cross has held it against the budget
+        levels[1] = 1
+        chain = [0]
+        if size == 1:
             yield chain
-            chain.pop()
-            continue
-        present[p] = 1
-        row = nexts[p]
-        fresh = []
-        # all(present[o] for o in others), without a generator per successor
-        for s, others in zip(row, needs[p]):
-            for o in others:
-                if not present[o]:
-                    break
-            else:
-                fresh.append(s)
-        frontier = frontier[j + 1:]
-        if len(fresh) == len(row) and not frontier:
-            frontier = row  # shared, so a long chain allocates no frontiers
-        elif fresh:
-            fresh.extend(frontier)
-            fresh.sort()
-            frontier = tuple(fresh)
-        frontiers.append(frontier)
-        cursors.append(0)
-    return levels
+            return
+        nexts = _successor_table(cells, size)
+        missing = bytearray([dim - p.count(0) for p in cells])
+        for s in nexts[0]:
+            missing[s] -= 1
+        nodes = 1
+        frontiers = [nexts[0]]
+        cursors = [0]
+        while frontiers:
+            frontier = frontiers[-1]
+            j = cursors[-1]
+            if j == len(frontier):
+                frontiers.pop()
+                cursors.pop()
+                for s in nexts[chain.pop()]:
+                    missing[s] += 1
+                continue
+            cursors[-1] = j + 1
+            p = frontier[j]
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError("budget exceeded")
+            chain.append(p)
+            depth = len(chain)
+            levels[depth] += 1
+            if depth == size:
+                yield chain
+                chain.pop()
+                continue
+            row = nexts[p]
+            fresh = []
+            for s in row:
+                c = missing[s]
+                if c == 1:  # p was the last predecessor s lacked
+                    fresh.append(s)
+                missing[s] = c - 1
+            frontier = frontier[j + 1:]
+            if len(fresh) == len(row) and not frontier:
+                frontier = row  # shared, so a long chain allocates no frontiers
+            elif fresh:
+                fresh.extend(frontier)
+                fresh.sort()
+                frontier = tuple(fresh)
+            frontiers.append(frontier)
+            cursors.append(0)
+
+    return cells, levels, chains()
 
 
 def enumerate_lower_sets(
@@ -336,8 +335,8 @@ def enumerate_lower_sets(
         raise ValueError("dimension must be at least 1")
     if size < 0:
         raise ValueError("size must be non-negative")
-    cells = _cross(dim, size, budget)
-    for chain in _walk(cells, size, budget):
+    cells, _, chains = _walk(dim, size, budget)
+    for chain in chains:
         yield LowerSet._trusted(dim, tuple([cells[i] for i in chain]))
 
 
@@ -369,12 +368,10 @@ def count_table(
             return partition_oracle_2d(n_max)
         if dim == 3:
             return plane_partition_oracle_3d(n_max)
-    walk = _walk(_cross(dim, n_max, budget), n_max, budget)
-    while True:
-        try:
-            next(walk)
-        except StopIteration as done:
-            return done.value
+    _, levels, chains = _walk(dim, n_max, budget)
+    for _ in chains:
+        pass
+    return levels
 
 
 def count_lower_sets(

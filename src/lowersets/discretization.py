@@ -12,9 +12,10 @@ exactly n, the best possible.
 
 Every lower set of size n lies in the shifted hyperbolic cross
 F = {k : prod(k_i + 1) <= n}, so the family sweep builds V once over F
-and the Gram G_F = (1/m) V* V once per point set.  The core walk runs on
-indices into the lex-sorted F, and the family reads those index chains
-as they are, without re-deriving F from the sets.  The Gram of each
+and the Gram G_F = (1/m) V* V once per point set.  The core walk builds
+the lex-sorted F and runs on indices into it; the family takes F and
+those index chains from it as they are, without re-deriving F from the
+sets, and reports |F| as the hyperbolic cross size.  The Gram of each
 T(Q) is then the principal submatrix of G_F on the rows of Q, and the
 submatrices go through ``eigvalsh`` stacked, a bounded chunk at a time.
 ``gram_matrix`` and ``gram_spectrum`` remain the per-set reference.
@@ -30,7 +31,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -41,7 +41,6 @@ from .core import (
     BudgetExceededError,
     Coords,
     LowerSet,
-    _cross,
     _walk,
     enumerate_lower_sets,  # noqa: F401  (bench/spans.py wraps it by this name)
 )
@@ -200,20 +199,20 @@ def _family(d: int, n: int, budget: int) -> tuple[list[Coords], np.ndarray]:
     of indices into F per set, in walk order.
 
     F is the shifted hyperbolic cross {k : prod(k_i + 1) <= n}, the cell
-    list the walk runs on; every cell of F lies in some lower set of size
-    n (its box plus a chain along the first axis).  The walk's chains of
-    cell indices are the rows as they are, so nothing re-derives F from
-    the sets.  Each row is increasing because the walk appends cells in
-    lex order.
+    list the walk builds and runs on; every cell of F lies in some lower
+    set of size n (its box plus a chain along the first axis).  F and the
+    walk's chains of cell indices come from one ``_walk`` call and are
+    the rows as they are, so nothing re-derives F from the sets.  Each
+    row is increasing because the walk appends cells in lex order.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
     if d < 1:
         raise ValueError("dimension must be at least 1")
     try:
-        cells = _cross(d, n, budget)
+        cells, _, walk = _walk(d, n, budget)
         # each chain is read in full before the walk resumes and mutates it
-        flat = np.fromiter(chain.from_iterable(_walk(cells, n, budget)), dtype=np.intp)
+        flat = np.fromiter(chain.from_iterable(walk), dtype=np.intp)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             "budget exceeded while enumerating subspaces; try smaller n or d"
@@ -262,7 +261,7 @@ def _report(
     bounds = {
         "thm6": n * n * math.log(d),
         "thm6_b": n ** (2.0 - 1.0 / d) * math.exp(math.log(d) ** 2),
-        "hyperbolic_size": hyperbolic_cross_size(d, n),
+        "hyperbolic_size": len(cells),
         "hyperbolic_bound": hyperbolic_cross_bound(d, n),
     }
     return DiscretizationReport(
@@ -377,23 +376,42 @@ def search_minimal_m(
     return hi_result
 
 
-@lru_cache(maxsize=None)
 def hyperbolic_cross_size(d: int, n: int) -> int:
-    """|{k in N^d : prod k_i <= n}| via the divisor-sum recursion."""
+    """|{k in N^d : prod k_i <= n}| via the divisor-sum recurrence.
+
+    f_1(m) = m and f_j(m) = sum_{k=1..m} f_{j-1}(m // k), taken one
+    dimension at a time over the values n // k, which floor division
+    maps into themselves; so any depth d needs no recursion.  This is
+    the test reference for the walk's cross, so it shares no code with
+    it.
+    """
     if d < 1 or n < 0:
         raise ValueError("requires d >= 1 and n >= 0")
     if n == 0:
         return 0
-    if d == 1:
-        return n
-    return sum(hyperbolic_cross_size(d - 1, n // k) for k in range(1, n + 1))
+    values = {n // k for k in range(1, n + 1)}
+    f = {m: m for m in values}
+    for _ in range(d - 1):
+        f = {m: sum(f[m // k] for k in range(1, m + 1)) for m in values}
+    return f[n]
 
 
 def hyperbolic_cross_bound(d: int, n: int) -> float:
-    """The closed bound n*(1+ln n)^(d-1) on the cross size."""
+    """The closed bound n*(1+ln n)^(d-1) on the cross size.
+
+    Raises ValueError when the bound exceeds a double.
+    """
     if d < 1 or n < 1:
         raise ValueError("requires d >= 1 and n >= 1")
-    return n * (1.0 + math.log(n)) ** (d - 1)
+    try:
+        bound = n * (1.0 + math.log(n)) ** (d - 1)
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(
+            "hyperbolic cross bound n*(1+ln n)^(d-1) exceeds a double for d=%d n=%d"
+            % (d, n))
+    return bound
 
 
 def _serialized(q: LowerSet) -> list[list[int]]:

@@ -296,6 +296,23 @@ def test_discretize_single_point_fails_targets(capsys):
     assert json.loads(out)["c1"] < 1e-9
 
 
+def test_discretize_deep_dimension_reports_the_cross(capsys):
+    code, out, err = run(
+        ["discretize", "--d", "400", "--n", "2", "--m", "3", "--seed", "1"], capsys)
+    assert code == 3
+    assert json.loads(out)["bounds"]["hyperbolic_size"] == 401
+    assert err == ""
+
+
+def test_discretize_bound_beyond_a_double_is_one_line(capsys):
+    code, out, err = run(
+        ["discretize", "--d", "1400", "--n", "2", "--m", "3", "--seed", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: hyperbolic cross bound")
+
+
 def test_discretize_search_reports_m_found(capsys):
     code, out, _ = run(
         ["discretize", "--d", "2", "--n", "3", "--search", "--seed", "7",

@@ -120,6 +120,25 @@ def test_enumerate_matches_box_filter_small(d):
         assert set(points) == box_filter_lower_sets(d, n)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_walks_are_independent(d):
+    # each walk mutates and restores its own per-cell counts as it goes, so
+    # interleaved, abandoned and failed walks leave other streams unchanged
+    for n in range(1, 8):
+        alone = [q.points for q in core.enumerate_lower_sets(d, n)]
+        pairs = zip(core.enumerate_lower_sets(d, n), core.enumerate_lower_sets(d, n))
+        assert [(a.points, b.points) for a, b in pairs] == [(p, p) for p in alone]
+        half = core.enumerate_lower_sets(d, n)
+        head = [q.points for q in itertools.islice(half, len(alone) // 2)]
+        assert [q.points for q in core.enumerate_lower_sets(d, n)] == alone
+        assert head + [q.points for q in half] == alone
+        nodes = sum(core.count_table(d, n, "dfs")[1:])
+        with pytest.raises(core.BudgetExceededError):
+            for _ in core.enumerate_lower_sets(d, n, budget=nodes - 1):
+                pass
+        assert [q.points for q in core.enumerate_lower_sets(d, n)] == alone
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_walk_cross_is_the_shifted_hyperbolic_cross(d):
     for n in range(13):

@@ -307,6 +307,18 @@ def test_hyperbolic_cross_examples():
     assert d.hyperbolic_cross_size(2, 4) == 8
     assert d.hyperbolic_cross_size(1, 7) == 7
     assert d.hyperbolic_cross_size(3, 0) == 0
+    # the cells 0, e_i (and 2e_i) of deep crosses, with no recursion per axis
+    assert d.hyperbolic_cross_size(1200, 2) == 1201
+    assert d.hyperbolic_cross_size(1200, 3) == 2401
+
+
+def test_hyperbolic_cross_bound_beyond_a_double_is_a_value_error():
+    # (1 + ln 2)^1347 is finite but twice it is inf; the next power raises
+    # OverflowError
+    for dim in (1348, 1349, 1400):
+        with pytest.raises(ValueError, match="exceeds a double"):
+            d.hyperbolic_cross_bound(dim, 2)
+    assert d.hyperbolic_cross_bound(1347, 2) < math.inf
 
 
 def test_hyperbolic_cross_against_product_scan():
