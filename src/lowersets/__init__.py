@@ -1,11 +1,14 @@
 """Lower sets in Z_+^d: enumeration, counting, growth bounds and
 sampling discretization experiments."""
 
+from importlib import import_module
+
 from .core import (
     BudgetExceededError,
     Coords,
     LowerSet,
     Partition,
+    SearchExhausted,
     addable_points,
     corners,
     count_lower_sets,
@@ -20,20 +23,37 @@ from .core import (
     to_json_line,
     to_partition,
 )
-from .bounds import BoundsReport, StaircaseNumbers, verify_bounds
-from .discretization import (
-    DiscretizationReport,
-    GramSpectrum,
-    PointSetTorus,
-    SearchExhausted,
-    SearchResult,
-    gram_spectrum,
-    hyperbolic_cross_size,
-    sample_points,
-    search_minimal_m,
-    tensor_grid,
-    universal_constants,
-)
+
+# bounds (mpmath) and discretization (numpy) load on first use (PEP 562),
+# so counting and enumeration start without either library.
+_LAZY = {
+    "BoundsReport": "bounds",
+    "StaircaseNumbers": "bounds",
+    "verify_bounds": "bounds",
+    "DiscretizationReport": "discretization",
+    "GramSpectrum": "discretization",
+    "PointSetTorus": "discretization",
+    "SearchResult": "discretization",
+    "gram_spectrum": "discretization",
+    "hyperbolic_cross_size": "discretization",
+    "sample_points": "discretization",
+    "search_minimal_m": "discretization",
+    "tensor_grid": "discretization",
+    "universal_constants": "discretization",
+}
+
+
+def __getattr__(name: str):
+    if name in ("bounds", "discretization"):
+        return import_module("." + name, __name__)
+    if name in _LAZY:
+        return getattr(import_module("." + _LAZY[name], __name__), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, "bounds", "discretization"})
+
 
 __version__ = "0.1.0"
 

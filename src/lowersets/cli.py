@@ -2,16 +2,17 @@
 
 Exit codes: 0 success, 1 usage error, bad input (a library ValueError
 or an unwritable output file) or a failed eigensolve (EigenSolverError),
-2 node budget exceeded, 3 targets unmet (a bound flag failed,
-certification missed its targets, or the minimal-m search was
-exhausted).  Outputs carry no timestamps and all randomness is seeded,
-so identical configurations write byte-identical files.  A new or
-regular ``--out`` or ``--points-out`` file is written to a temp file
-beside it and renamed over it, keeping its mode, so a failed run leaves
-no partial file; symlinks, devices, FIFOs and hard-linked files are
-written in place.  ``count`` and ``bounds`` build one count table per dimension,
-up to the largest n of the range.  The LOWERSET_BUDGET environment
-variable overrides the default DFS node budget.
+2 node budget exceeded (also by a --grid of more points than the
+budget), 3 targets unmet (a bound flag failed, certification missed its
+targets, or the minimal-m search was exhausted).  Outputs carry no
+timestamps and all randomness is seeded, so identical configurations
+write byte-identical files.  A new or regular ``--out`` or
+``--points-out`` file is written to a temp file beside it and renamed
+over it, keeping its mode, so a failed run leaves no partial file;
+symlinks, devices, FIFOs and hard-linked files are written in place.
+``count`` and ``bounds`` build one count table per dimension, up to the
+largest n of the range.  The LOWERSET_BUDGET environment variable
+overrides the default DFS node budget.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import stat
 import sys
 
-from . import bounds as bnd
-from . import core, discretization as disc
+from . import core
 
 BUDGET_ENV = "LOWERSET_BUDGET"
 
@@ -83,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     d_p.add_argument("--grid", action="store_true")
     d_p.add_argument("--seed", type=int)
     d_p.add_argument("--trials", type=int, default=10)
-    d_p.add_argument("--c1", type=float, default=disc.DEFAULT_C1)
-    d_p.add_argument("--c2", type=float, default=disc.DEFAULT_C2)
+    d_p.add_argument("--c1", type=float, default=core.DEFAULT_C1)
+    d_p.add_argument("--c2", type=float, default=core.DEFAULT_C2)
     d_p.add_argument("--m-max", type=int, dest="m_max")
     d_p.add_argument("--format", choices=["json"], default="json")
     d_p.add_argument("--out")
@@ -167,7 +166,7 @@ def _write_file(text: str, out: str) -> None:
         if st is not None:  # refuse a target that open(out, "w") would refuse
             os.close(os.open(out, os.O_WRONLY))
         tmp = os.path.join(os.path.dirname(out), ".%s.%s.tmp" % (
-            os.path.basename(out), secrets.token_hex(8)))
+            os.path.basename(out), os.urandom(8).hex()))
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except PermissionError:
@@ -221,6 +220,8 @@ def run_enumerate(args: argparse.Namespace) -> int:
 
 
 def run_bounds(args: argparse.Namespace) -> int:
+    from . import bounds as bnd  # mpmath, which count and enumerate never load
+
     reports = [bnd.verify_bounds(d, n, p) for d, n, p in _count_rows(args, "auto")]
     if args.format == "csv":
         lines = [bnd.BOUNDS_CSV_HEADER] + [bnd.bounds_csv_row(r) for r in reports]
@@ -237,14 +238,30 @@ def run_bounds(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
-def _grid_side(d: int, m: int) -> int:
-    side = max(1, round(m ** (1.0 / d)))
-    while side**d < m:
-        side += 1
-    return side
+def _grid_side(d: int, m: int, budget: int) -> int:
+    """The least side with side**d >= m, if its side**d points fit the budget.
+
+    Bisection on exact integers, so a huge --m neither overflows a float
+    nor steps up one by one from a rounded root.  Once d reaches the bit
+    length of m the only power tried is 1**d, and once it reaches that of
+    the budget the check needs no power, so a huge --d builds no big int.
+    """
+    lo, hi = 1, 1 << -(-m.bit_length() // d)  # hi**d > m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**d >= m:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo > 1 and (d >= budget.bit_length() or lo**d > budget):  # lo**d >= 2**d
+        raise core.BudgetExceededError(
+            "--grid needs %d^%d points, over the node budget of %d" % (lo, d, budget))
+    return lo
 
 
 def run_discretize(args: argparse.Namespace) -> int:
+    from . import discretization as disc  # numpy, which only this command loads
+
     d, n = args.d, args.n
     if args.search:
         result = disc.search_minimal_m(
@@ -257,7 +274,7 @@ def run_discretize(args: argparse.Namespace) -> int:
                             "targets": [args.c1, args.c2]}}
     else:
         if args.grid:
-            side = _grid_side(d, args.m)
+            side = _grid_side(d, args.m, args.budget)
             xs = disc.tensor_grid(d, [side] * d)
         else:
             xs = disc.sample_points(d, args.m, args.seed)
@@ -294,9 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return runners[args.command](args)
     except core.BudgetExceededError as exc:
         code, message = 2, str(exc)
-    except disc.SearchExhausted as exc:
+    except core.SearchExhausted as exc:
         code, message = 3, str(exc)
-    except (ValueError, OSError, disc.EigenSolverError) as exc:
+    except (ValueError, OSError, core.EigenSolverError) as exc:
         code, message = 1, str(exc)
     print("error: %s" % message, file=sys.stderr)
     return code

@@ -44,10 +44,35 @@ from typing import Iterable, Iterator
 Coords = tuple[int, ...]
 
 DEFAULT_NODE_BUDGET = 10**8
+# Default discretization targets (c1, c2) and the discretization errors
+# live here, without numpy, so the CLI can name them before it needs it.
+DEFAULT_C1 = 0.5
+DEFAULT_C2 = 1.5
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a depth-first walk visits more nodes than allowed."""
+
+
+class EigenSolverError(RuntimeError):
+    """Eigen decomposition of a Gram matrix failed to converge."""
+
+
+class SearchExhausted(RuntimeError):
+    """No sample size up to m_max met the targets.
+
+    Carries the closest attempt: ``best_m`` with its achieved
+    ``best_c1`` and ``best_c2``.
+    """
+
+    def __init__(self, best_m: int, best_c1: float, best_c2: float):
+        super().__init__(
+            "no qualifying m found; best attempt m=%d gave c1=%.6g c2=%.6g"
+            % (best_m, best_c1, best_c2)
+        )
+        self.best_m = best_m
+        self.best_c1 = best_c1
+        self.best_c2 = best_c2
 
 
 def _as_point(p: Iterable[int], dim: int) -> Coords:

@@ -36,42 +36,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (
+from .core import (  # the errors and default targets live in numpy-free core
+    DEFAULT_C1,
+    DEFAULT_C2,
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     Coords,
+    EigenSolverError,
     LowerSet,
+    SearchExhausted,
     _walk,
     enumerate_lower_sets,  # noqa: F401  (bench/spans.py wraps it by this name)
 )
 
-DEFAULT_C1 = 0.5
-DEFAULT_C2 = 1.5
 _EIG_CLAMP = 1e-10
 # Complex entries (16 bytes each, so 1 MiB) of stacked submatrices per
 # eigvalsh call in the family sweep.
 _CHUNK_ENTRIES = 1 << 16
-
-
-class EigenSolverError(RuntimeError):
-    """Eigen decomposition of a Gram matrix failed to converge."""
-
-
-class SearchExhausted(RuntimeError):
-    """No sample size up to m_max met the targets.
-
-    Carries the closest attempt: ``best_m`` with its achieved
-    ``best_c1`` and ``best_c2``.
-    """
-
-    def __init__(self, best_m: int, best_c1: float, best_c2: float):
-        super().__init__(
-            "no qualifying m found; best attempt m=%d gave c1=%.6g c2=%.6g"
-            % (best_m, best_c1, best_c2)
-        )
-        self.best_m = best_m
-        self.best_c1 = best_c1
-        self.best_c2 = best_c2
 
 
 @dataclass(frozen=True, eq=False)

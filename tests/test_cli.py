@@ -288,6 +288,40 @@ def test_discretize_grid_certifies_exactly(capsys):
     assert payload["m"] == 2
 
 
+@pytest.mark.parametrize("d, m, side", [
+    (30, 3, 2),  # 2**30 points would take 8 GiB
+    (70, 3, 2),  # numpy rejects more than 64 axes
+    (10**9, 3, 2),
+    (2, 10**400, 10**200),  # m overflows a float
+])
+def test_discretize_grid_over_budget_fails_before_allocating(d, m, side, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            ["discretize", "--d", str(d), "--n", "2", "--m", str(m), "--grid"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --grid needs %d^%d points, over the node budget of %d\n" % (
+        side, d, core.DEFAULT_NODE_BUDGET)
+    assert peak < 2_000_000
+
+
+def test_discretize_grid_budget_is_exact(monkeypatch, capsys):
+    argv = ["discretize", "--d", "2", "--n", "2", "--m", "9", "--grid"]
+    monkeypatch.setenv(cli.BUDGET_ENV, "9")  # a 3 x 3 grid
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["m"] == 9
+    monkeypatch.setenv(cli.BUDGET_ENV, "8")
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --grid needs 3^2 points, over the node budget of 8\n"
+
+
 def test_discretize_single_point_fails_targets(capsys):
     code, out, _ = run(
         ["discretize", "--d", "2", "--n", "3", "--m", "1", "--seed", "5"],
