@@ -13,6 +13,9 @@ Everything is computed and compared in log scale: gamma_d itself
 overflows doubles already near d = 12, while its logarithm stays small.
 Where a bound and an exact count are both integers the pass/fail
 comparison is done in exact integer arithmetic; logs are only reported.
+Each row of ``verify_bounds`` takes one high-precision log of its exact
+count and finds one staircase level, and ``bounds_row`` holds the field
+order of the ``bounds`` wire format, CSV and JSON alike.
 """
 
 from __future__ import annotations
@@ -149,17 +152,22 @@ def staircase_level(d: int, n: int) -> int:
     if d < 1 or n < 2:
         raise ValueError("requires d >= 1 and n >= 2")
     m = 0
-    while staircase_numbers(d, m + 1).b < n:
+    while math.comb(m + 1 + d, d) < n:  # b_{m+1}
         m += 1
     return m
+
+
+def _staircase(d: int, n: int) -> tuple[int, float]:
+    """a_m and ln((d/2) * 2^(a_m)) at m = staircase_level(d, n)."""
+    a = math.comb(staircase_level(d, n) + d - 1, d - 1)
+    return a, math.log(d / 2.0) + a * LN2
 
 
 def staircase_lower_bound(d: int, n: int) -> float:
     """ln((d/2) * 2^(a_m)) <= ln p_d(n) with m = staircase_level(d, n)."""
     if d < 2 or n < 2:
         raise ValueError("requires d >= 2 and n >= 2")
-    a = staircase_numbers(d, staircase_level(d, n)).a
-    return math.log(d / 2.0) + a * LN2
+    return _staircase(d, n)[1]
 
 
 def _simplex_points(d: int, m: int) -> list[Coords]:
@@ -291,7 +299,7 @@ def verify_bounds(d: int, n: int, exact: int) -> BoundsReport:
         raise ValueError("requires d >= 2 and n >= 1")
     if exact < 1:
         raise ValueError("exact count must be positive")
-    ln_p = ln_bigcount(exact)
+    ln_mp = _ln_mp(exact)
     lo, hi = power_bounds(d, n)
     flags: list[str] = []
 
@@ -312,7 +320,7 @@ def verify_bounds(d: int, n: int, exact: int) -> BoundsReport:
     hr = None
     if d == 2:
         hr = hardy_ramanujan_upper(n)
-        hr_ok = _ln_mp(exact) <= hr + _RATIO_TOL
+        hr_ok = ln_mp <= hr + _RATIO_TOL
         flags.append("hr:pass" if hr_ok else "hr:fail")
     else:
         flags.append("hr:skipped")
@@ -320,7 +328,7 @@ def verify_bounds(d: int, n: int, exact: int) -> BoundsReport:
     c_lo = c_hi = None
     if n >= 2:
         c_lo, c_hi = ratio_bounds(d, n)
-        ratio = _ln_mp(exact) / n ** (1.0 - 1.0 / d)
+        ratio = ln_mp / n ** (1.0 - 1.0 / d)
         ratio_ok = c_lo - _RATIO_TOL <= ratio <= c_hi + _RATIO_TOL
         flags.append("thm2:pass" if ratio_ok else "thm2:fail")
     else:
@@ -328,8 +336,7 @@ def verify_bounds(d: int, n: int, exact: int) -> BoundsReport:
 
     stair = None
     if n >= 2:
-        stair = staircase_lower_bound(d, n)
-        a = staircase_numbers(d, staircase_level(d, n)).a
+        a, stair = _staircase(d, n)
         flags.append("eq_a:pass" if d * 2**a <= 2 * exact else "eq_a:fail")
     else:
         flags.append("eq_a:skipped")
@@ -337,7 +344,7 @@ def verify_bounds(d: int, n: int, exact: int) -> BoundsReport:
     return BoundsReport(
         d=d,
         n=n,
-        ln_p=ln_p,
+        ln_p=float(ln_mp),
         power_lo=lo,
         power_hi=hi,
         uniform=uniform_upper(d, n),
@@ -351,22 +358,12 @@ def verify_bounds(d: int, n: int, exact: int) -> BoundsReport:
     )
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def bounds_row(r: BoundsReport) -> list:
+    """The values of one row, in ``BOUNDS_CSV_HEADER`` order."""
+    return [r.d, r.n, r.ln_p, r.power_lo, r.power_hi, r.uniform, r.hr,
+            r.c_prime, r.c_upper, r.staircase_lo, ";".join(r.flags)]
 
 
 def bounds_csv_row(r: BoundsReport) -> str:
-    cells = [
-        str(r.d),
-        str(r.n),
-        repr(r.ln_p),
-        repr(r.power_lo),
-        repr(r.power_hi),
-        repr(r.uniform),
-        _cell(r.hr),
-        _cell(r.c_prime),
-        _cell(r.c_upper),
-        _cell(r.staircase_lo),
-        ";".join(r.flags),
-    ]
-    return ",".join(cells)
+    return ",".join("" if v is None else v if isinstance(v, str) else repr(v)
+                    for v in bounds_row(r))

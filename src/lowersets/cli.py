@@ -1,10 +1,11 @@
 """Batch front-end for counting, enumeration, bounds and discretization.
 
 Exit codes: 0 success, 1 usage error, bad input (a library ValueError
-or an unwritable output file) or a failed eigensolve (EigenSolverError),
-2 node budget exceeded (also by a --grid of more points than the
-budget), 3 targets unmet (a bound flag failed, certification missed its
-targets, or the minimal-m search was exhausted).  Outputs carry no
+or an unwritable output file), a failed eigensolve (EigenSolverError)
+or running out of memory, 2 node budget exceeded (also by a --grid, an
+--m or a search size of more points than the budget), 3 targets unmet
+(a bound flag failed, certification missed its targets, or the
+minimal-m search was exhausted).  Outputs carry no
 timestamps and all randomness is seeded, so identical configurations
 write byte-identical files.  A new or regular ``--out`` or
 ``--points-out`` file is written to a temp file beside it and renamed
@@ -227,12 +228,8 @@ def run_bounds(args: argparse.Namespace) -> int:
         lines = [bnd.BOUNDS_CSV_HEADER] + [bnd.bounds_csv_row(r) for r in reports]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        objs = []
-        for r in reports:
-            obj = dict(zip(bnd.BOUNDS_CSV_HEADER.split(","), [
-                r.d, r.n, r.ln_p, r.power_lo, r.power_hi, r.uniform,
-                r.hr, r.c_prime, r.c_upper, r.staircase_lo, ";".join(r.flags)]))
-            objs.append(obj)
+        header = bnd.BOUNDS_CSV_HEADER.split(",")
+        objs = [dict(zip(header, bnd.bounds_row(r))) for r in reports]
         _emit(_json_text(objs, args.format), args.out)
     failed = any(f.endswith(":fail") for r in reports for f in r.flags)
     return 3 if failed else 0
@@ -277,6 +274,9 @@ def run_discretize(args: argparse.Namespace) -> int:
             side = _grid_side(d, args.m, args.budget)
             xs = disc.tensor_grid(d, [side] * d)
         else:
+            if args.m > args.budget:
+                raise core.BudgetExceededError(
+                    "--m needs %d points, over the node budget of %d" % (args.m, args.budget))
             xs = disc.sample_points(d, args.m, args.seed)
         report = disc.universal_constants(d, n, xs, budget=args.budget)
         extra = {"targets": [args.c1, args.c2]}
@@ -315,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         code, message = 3, str(exc)
     except (ValueError, OSError, core.EigenSolverError) as exc:
         code, message = 1, str(exc)
+    except MemoryError as exc:
+        code, message = 1, str(exc) or "out of memory"
     print("error: %s" % message, file=sys.stderr)
     return code
 

@@ -307,7 +307,9 @@ def search_minimal_m(
     smallest qualifying size on that path.  Trial t always uses seed
     (root seed + t), so outcomes do not depend on scheduling.  When no
     m <= m_max qualifies, SearchExhausted reports the best attempt.  The
-    family is enumerated once, under ``budget``, and swept for every draw.
+    family is enumerated once, under ``budget``, and swept for every draw;
+    a size of more points than ``budget`` raises BudgetExceededError
+    before it is sampled.
     """
     if not 0.0 < c1_target <= 1.0 <= c2_target:
         raise ValueError("targets must satisfy 0 < c1 <= 1 <= c2")
@@ -324,6 +326,9 @@ def search_minimal_m(
 
     def qualify(m: int) -> SearchResult | None:
         nonlocal best
+        if m > budget:
+            raise BudgetExceededError(
+                "search needs %d points, over the node budget of %d" % (m, budget))
         for trial in range(trials_per_m):
             xs = sample_points(d, m, seed + trial)
             report = _report(d, n, xs, cells, index)

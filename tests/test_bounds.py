@@ -271,11 +271,69 @@ def test_verify_bounds_flags_wrong_count():
     assert "thm1:fail" in r.flags
 
 
+def test_verify_bounds_takes_one_log_and_one_level_per_row(monkeypatch):
+    calls = {"ln": 0, "level": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(b, "_ln_mp", counted("ln", b._ln_mp))
+    monkeypatch.setattr(b, "staircase_level", counted("level", b.staircase_level))
+    rows = [(d, n) for d in (2, 3, 4) for n in range(1, 9)]
+    for d, n in rows:
+        b.verify_bounds(d, n, core.count_lower_sets(d, n))
+    assert calls["ln"] == len(rows)
+    assert calls["level"] == sum(n >= 2 for _, n in rows)  # n = 1 has no level
+
+
+# Count tables per dimension, small enough that the d >= 4 walks stay fast.
+_REPORT_TABLES = {2: 60, 3: 40, 4: 12, 5: 10, 6: 9}
+
+
+@pytest.mark.parametrize("d, n_max", sorted(_REPORT_TABLES.items()))
+def test_verify_bounds_fields_equal_public_helpers(d, n_max):
+    table = core.count_table(d, n_max)
+    for n in range(1, n_max + 1):
+        p = table[n]
+        for exact in (p, 1, p + 1, 10**40):  # the count, then wrong counts
+            r = b.verify_bounds(d, n, exact)
+            assert (r.d, r.n) == (d, n)
+            assert r.ln_p == b.ln_bigcount(exact)
+            assert (r.power_lo, r.power_hi) == b.power_bounds(d, n)
+            assert r.uniform == b.uniform_upper(d, n)
+            assert (r.lambda_d, r.rho_d) == (b.lambda_d(d), b.rho_d(d))
+            ln_mp = b._ln_mp(exact)
+            if d == 2:
+                assert r.hr == b.hardy_ramanujan_upper(n)
+                hr_ok = ln_mp <= r.hr + b._RATIO_TOL
+                assert ("hr:pass" if hr_ok else "hr:fail") in r.flags
+            else:
+                assert r.hr is None and "hr:skipped" in r.flags
+            if n == 1:
+                assert (r.c_prime, r.c_upper, r.staircase_lo) == (None, None, None)
+                assert "thm2:skipped" in r.flags and "eq_a:skipped" in r.flags
+                continue
+            assert (r.c_prime, r.c_upper) == b.ratio_bounds(d, n)
+            ratio = ln_mp / n ** (1.0 - 1.0 / d)
+            ratio_ok = r.c_prime - b._RATIO_TOL <= ratio <= r.c_upper + b._RATIO_TOL
+            assert ("thm2:pass" if ratio_ok else "thm2:fail") in r.flags
+            assert r.staircase_lo == b.staircase_lower_bound(d, n)
+            a = b.staircase_numbers(d, b.staircase_level(d, n)).a
+            eq_ok = d * 2**a <= 2 * exact
+            assert ("eq_a:pass" if eq_ok else "eq_a:fail") in r.flags
+
+
 def test_csv_row_shape():
     header_cols = b.BOUNDS_CSV_HEADER.split(",")
     assert len(header_cols) == 11
-    row = b.bounds_csv_row(b.verify_bounds(2, 1, 1)).split(",")
+    r = b.verify_bounds(2, 1, 1)
+    assert len(b.bounds_row(r)) == 11
+    row = b.bounds_csv_row(r).split(",")
     assert len(row) == 11
     assert row[:2] == ["2", "1"]
     assert row[6] != ""  # hr applies at d = 2
     assert row[7] == "" and row[9] == ""  # ratio and staircase need n >= 2
+

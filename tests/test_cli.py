@@ -276,6 +276,29 @@ def test_bounds_jsonl_round_trip(capsys):
     assert all(r["flags"].count(":") == r["flags"].count(";") + 1 for r in rows)
 
 
+def test_bounds_json_rows_equal_csv_rows(capsys):
+    argv = ["bounds", "--d", "2..4", "--n", "1..8"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    header, *lines = out.splitlines()
+    csv_rows = [line.split(",") for line in lines]
+    assert len(csv_rows) == 24
+
+    def cell(value):
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else repr(value)
+
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    objs = json.loads(out)
+    code, out, _ = run(argv + ["--format", "jsonl"], capsys)
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == objs
+    assert [list(o) for o in objs] == [header.split(",")] * len(csv_rows)
+    assert [[cell(v) for v in o.values()] for o in objs] == csv_rows
+
+
 # -- discretize ------------------------------------------------------------------
 
 def test_discretize_grid_certifies_exactly(capsys):
@@ -320,6 +343,72 @@ def test_discretize_grid_budget_is_exact(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --grid needs 3^2 points, over the node budget of 8\n"
+
+
+def test_discretize_m_over_budget_fails_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            ["discretize", "--d", "2", "--n", "2", "--m", str(10**30), "--seed", "1"],
+            capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: --m needs %d points, over the node budget of %d\n" % (
+        10**30, core.DEFAULT_NODE_BUDGET)
+    assert peak < 2_000_000
+
+
+def test_discretize_m_budget_is_exact(monkeypatch, capsys):
+    argv = ["discretize", "--d", "2", "--n", "2", "--m", "9", "--seed", "1"]
+    monkeypatch.setenv(cli.BUDGET_ENV, "9")
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["m"] == 9
+    monkeypatch.setenv(cli.BUDGET_ENV, "8")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --m needs 9 points, over the node budget of 8\n"
+
+
+def test_discretize_search_stops_at_the_budget(monkeypatch, capsys):
+    argv = ["discretize", "--d", "1", "--n", "2", "--search", "--seed", "1",
+            "--trials", "1", "--c1", "0.9999999", "--c2", "1.0000001",
+            "--m-max", str(10**12)]
+    monkeypatch.setenv(cli.BUDGET_ENV, "64")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: search needs 128 points, over the node budget of 64\n"
+
+
+def test_discretize_search_qualifying_under_the_budget_is_unaffected(monkeypatch, capsys):
+    # It qualifies at m = 8 and samples no more, so a budget of 8 points
+    # holds it although --m-max lies far above the budget.
+    argv = ["discretize", "--d", "2", "--n", "3", "--search", "--seed", "1",
+            "--m-max", str(10**12)]
+    _, expected, _ = run(argv, capsys)
+    assert json.loads(expected)["search"]["m_found"] == 8
+    monkeypatch.setenv(cli.BUDGET_ENV, "8")
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (0, expected, "")
+    monkeypatch.setenv(cli.BUDGET_ENV, "7")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: search needs 8 points, over the node budget of 7\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 8.00 GiB", "error: Unable to allocate 8.00 GiB\n"),
+    ("", "error: out of memory\n"),
+])
+def test_memory_error_is_one_line(monkeypatch, capsys, message, line):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(core, "count_table", exhausted)
+    code, out, err = run(["count", "--d", "2", "--n", "5"], capsys)
+    assert (code, out, err) == (1, "", line)
 
 
 def test_discretize_single_point_fails_targets(capsys):
