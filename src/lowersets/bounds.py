@@ -14,8 +14,9 @@ overflows doubles already near d = 12, while its logarithm stays small.
 Where a bound and an exact count are both integers the pass/fail
 comparison is done in exact integer arithmetic; logs are only reported.
 Each row of ``verify_bounds`` takes one high-precision log of its exact
-count and finds one staircase level, and ``bounds_row`` holds the field
-order of the ``bounds`` wire format, CSV and JSON alike.
+count and finds one staircase level.  ``bounds_row`` says what a row
+of the ``bounds`` table holds, one value per ``BoundsReport`` field in
+``BOUNDS_CSV_HEADER`` order; ``cli`` writes every table.
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ def product_rate_bound(d: int) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Evaluated bounds for one (d, n) cell plus pass/fail flags.
+    """Evaluated bounds for one (d, n) cell plus pass/fail flags, one
+    field per ``BOUNDS_CSV_HEADER`` column, in its order.
 
     Flag tokens use the fixed wire names thm1, cohen, hr, thm2, eq_a
     with states pass, fail, boundary (equality at n <= 2) and skipped
@@ -281,8 +283,6 @@ class BoundsReport:
     hr: float | None
     c_prime: float | None
     c_upper: float | None
-    lambda_d: float
-    rho_d: float
     staircase_lo: float | None
     flags: tuple[str, ...]
 
@@ -351,8 +351,6 @@ def verify_bounds(d: int, n: int, exact: int) -> BoundsReport:
         hr=hr,
         c_prime=c_lo,
         c_upper=c_hi,
-        lambda_d=lambda_d(d),
-        rho_d=rho_d(d),
         staircase_lo=stair,
         flags=tuple(flags),
     )
@@ -362,8 +360,3 @@ def bounds_row(r: BoundsReport) -> list:
     """The values of one row, in ``BOUNDS_CSV_HEADER`` order."""
     return [r.d, r.n, r.ln_p, r.power_lo, r.power_hi, r.uniform, r.hr,
             r.c_prime, r.c_upper, r.staircase_lo, ";".join(r.flags)]
-
-
-def bounds_csv_row(r: BoundsReport) -> str:
-    return ",".join("" if v is None else v if isinstance(v, str) else repr(v)
-                    for v in bounds_row(r))

@@ -202,14 +202,25 @@ def _count_rows(args: argparse.Namespace, method: str) -> list[tuple[int, int, i
     return rows
 
 
-def run_count(args: argparse.Namespace) -> int:
-    rows = _count_rows(args, args.method)
-    if args.format == "csv":
-        lines = ["d,n,p_d_n"] + ["%d,%d,%d" % r for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+def _table_text(header: str, rows: list, fmt: str) -> str:
+    """Rows of values as CSV under ``header``, a JSON array or JSON lines.
+
+    A CSV cell is empty for None, a string as it is and ``repr`` of any
+    other value; JSON objects take the header's names as keys.
+    """
+    if fmt == "csv":
+        lines = [header] + [",".join("" if v is None else v if isinstance(v, str)
+                                     else repr(v) for v in row) for row in rows]
     else:
-        objs = [{"d": d, "n": n, "p_d_n": p} for d, n, p in rows]
-        _emit(_json_text(objs, args.format), args.out)
+        objs = [dict(zip(header.split(","), row)) for row in rows]
+        if fmt == "json":
+            return json.dumps(objs, indent=2) + "\n"
+        lines = [json.dumps(o) for o in objs]
+    return "\n".join(lines) + "\n"
+
+
+def run_count(args: argparse.Namespace) -> int:
+    _emit(_table_text("d,n,p_d_n", _count_rows(args, args.method), args.format), args.out)
     return 0
 
 
@@ -224,13 +235,8 @@ def run_bounds(args: argparse.Namespace) -> int:
     from . import bounds as bnd  # mpmath, which count and enumerate never load
 
     reports = [bnd.verify_bounds(d, n, p) for d, n, p in _count_rows(args, "auto")]
-    if args.format == "csv":
-        lines = [bnd.BOUNDS_CSV_HEADER] + [bnd.bounds_csv_row(r) for r in reports]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        header = bnd.BOUNDS_CSV_HEADER.split(",")
-        objs = [dict(zip(header, bnd.bounds_row(r))) for r in reports]
-        _emit(_json_text(objs, args.format), args.out)
+    rows = [bnd.bounds_row(r) for r in reports]
+    _emit(_table_text(bnd.BOUNDS_CSV_HEADER, rows, args.format), args.out)
     failed = any(f.endswith(":fail") for r in reports for f in r.flags)
     return 3 if failed else 0
 
@@ -285,12 +291,6 @@ def run_discretize(args: argparse.Namespace) -> int:
         _emit(disc.points_csv(xs), args.points_out)
     met = report.c1 >= args.c1 and report.c2 <= args.c2
     return 0 if met else 3
-
-
-def _json_text(objs: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(objs, indent=2) + "\n"
-    return "\n".join(json.dumps(o) for o in objs) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -322,7 +322,7 @@ def search_minimal_m(
         p = len(index)
         m_max = math.ceil(32.0 * n * math.log(n * p)) if n * p > 1 else 4 * n
 
-    best = (0, -math.inf, math.inf)
+    best = (-math.inf, 0, -math.inf, math.inf)  # (score, m, c1, c2)
 
     def qualify(m: int) -> SearchResult | None:
         nonlocal best
@@ -335,31 +335,22 @@ def search_minimal_m(
             if report.c1 >= c1_target and report.c2 <= c2_target:
                 return SearchResult(m, xs, report)
             score = min(report.c1 - c1_target, c2_target - report.c2)
-            if score > min(best[1] - c1_target, c2_target - best[2]):
-                best = (m, report.c1, report.c2)
+            if score > best[0]:
+                best = (score, m, report.c1, report.c2)
         return None
 
     lo, m = 0, 1
-    found = None
-    while m < m_max:
-        found = qualify(m)
-        if found:
-            break
+    while (found := qualify(m)) is None:
+        if m >= m_max:
+            raise SearchExhausted(*best[1:])
         lo, m = m, min(2 * m, m_max)
-    if found is None:
-        found = qualify(m)
-        if found is None:
-            raise SearchExhausted(best[0], best[1], best[2])
-    hi_result = found
-    hi = hi_result.m
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        res = qualify(mid)
-        if res is not None:
-            hi, hi_result = mid, res
-        else:
+    while found.m - lo > 1:
+        mid = (lo + found.m) // 2
+        if (res := qualify(mid)) is None:
             lo = mid
-    return hi_result
+        else:
+            found = res
+    return found
 
 
 def hyperbolic_cross_size(d: int, n: int) -> int:

@@ -103,8 +103,7 @@ def same(a, b) -> bool:
     return a == b
 
 
-def record(argv: list[str], env: dict[str, str] | None = None) -> dict:
-    env = env or {}
+def record(argv: list[str], env: dict[str, str]) -> dict:
     code, out, err = run(argv, env)
     entry = {"argv": list(argv), "env": env, "code": code, "stderr": err}
     if out and argv[0] in PARSED:

@@ -8,6 +8,7 @@ tolerances well above their rounding error.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -304,7 +305,6 @@ def test_verify_bounds_fields_equal_public_helpers(d, n_max):
             assert r.ln_p == b.ln_bigcount(exact)
             assert (r.power_lo, r.power_hi) == b.power_bounds(d, n)
             assert r.uniform == b.uniform_upper(d, n)
-            assert (r.lambda_d, r.rho_d) == (b.lambda_d(d), b.rho_d(d))
             ln_mp = b._ln_mp(exact)
             if d == 2:
                 assert r.hr == b.hardy_ramanujan_upper(n)
@@ -326,14 +326,11 @@ def test_verify_bounds_fields_equal_public_helpers(d, n_max):
             assert ("eq_a:pass" if eq_ok else "eq_a:fail") in r.flags
 
 
-def test_csv_row_shape():
-    header_cols = b.BOUNDS_CSV_HEADER.split(",")
-    assert len(header_cols) == 11
-    r = b.verify_bounds(2, 1, 1)
-    assert len(b.bounds_row(r)) == 11
-    row = b.bounds_csv_row(r).split(",")
-    assert len(row) == 11
-    assert row[:2] == ["2", "1"]
-    assert row[6] != ""  # hr applies at d = 2
-    assert row[7] == "" and row[9] == ""  # ratio and staircase need n >= 2
-
+def test_report_fields_are_the_row_in_header_order():
+    names = [f.name for f in dataclasses.fields(b.BoundsReport)]
+    assert len(names) == len(b.BOUNDS_CSV_HEADER.split(",")) == 11
+    for d, n in ((2, 1), (2, 5), (3, 7)):
+        r = b.verify_bounds(d, n, core.count_lower_sets(d, n))
+        row = b.bounds_row(r)
+        assert row[:-1] == [getattr(r, name) for name in names[:-1]]
+        assert (names[-1], row[-1]) == ("flags", ";".join(r.flags))

@@ -277,26 +277,43 @@ def test_bounds_jsonl_round_trip(capsys):
 
 
 def test_bounds_json_rows_equal_csv_rows(capsys):
-    argv = ["bounds", "--d", "2..4", "--n", "1..8"]
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    header, *lines = out.splitlines()
-    csv_rows = [line.split(",") for line in lines]
-    assert len(csv_rows) == 24
-
     def cell(value):
         if value is None:
             return ""
         return value if isinstance(value, str) else repr(value)
 
-    code, out, _ = run(argv + ["--format", "json"], capsys)
+    for argv, rows in ((["bounds", "--d", "2..4", "--n", "1..8"], 24),
+                       (["count", "--d", "1..4", "--n", "0..8"], 36),
+                       (["count", "--d", "1..4", "--n", "0..8", "--method", "dfs"], 36),
+                       (["count", "--d", "2", "--n", "1000"], 1)):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        header, *lines = out.splitlines()
+        csv_rows = [line.split(",") for line in lines]
+        assert len(csv_rows) == rows
+
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        objs = json.loads(out)
+        code, out, _ = run(argv + ["--format", "jsonl"], capsys)
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == objs
+        assert [list(o) for o in objs] == [header.split(",")] * len(csv_rows)
+        assert [[cell(v) for v in o.values()] for o in objs] == csv_rows
+    assert objs == [{"d": 2, "n": 1000, "p_d_n": core.count_lower_sets(2, 1000)}]
+    assert objs[0]["p_d_n"] > 2**63
+
+
+def test_bounds_csv_row_shape(capsys):
+    code, out, _ = run(["bounds", "--d", "2", "--n", "1"], capsys)
     assert code == 0
-    objs = json.loads(out)
-    code, out, _ = run(argv + ["--format", "jsonl"], capsys)
-    assert code == 0
-    assert [json.loads(line) for line in out.splitlines()] == objs
-    assert [list(o) for o in objs] == [header.split(",")] * len(csv_rows)
-    assert [[cell(v) for v in o.values()] for o in objs] == csv_rows
+    header, line = out.splitlines()
+    assert header == bnd.BOUNDS_CSV_HEADER
+    row = line.split(",")
+    assert len(row) == 11
+    assert row[:2] == ["2", "1"]
+    assert row[6] != ""  # hr applies at d = 2
+    assert row[7] == "" and row[9] == ""  # ratio and staircase need n >= 2
 
 
 # -- discretize ------------------------------------------------------------------

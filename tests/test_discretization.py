@@ -294,6 +294,63 @@ def test_search_exhausted_carries_best():
     assert err.value.best_c1 < 0.999999 or err.value.best_c2 > 1.000001
 
 
+def _probes(monkeypatch) -> list:
+    """Record the (m, seed) of every draw the search samples."""
+    calls = []
+    sample = d.sample_points
+
+    def recorded(dim, m, seed):
+        calls.append((m, seed))
+        return sample(dim, m, seed)
+
+    monkeypatch.setattr(d, "sample_points", recorded)
+    return calls
+
+
+# Doubling to 16, then bisection: 12 misses, 14 and 13 qualify.
+_FOUND_AT_13 = [(1, 1), (2, 1), (4, 1), (8, 1), (16, 1), (12, 1), (14, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("trials, probes", [
+    (1, _FOUND_AT_13),
+    (2, [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2), (8, 1), (8, 2), (16, 1),
+         (12, 1), (12, 2), (14, 1), (13, 1)]),
+])
+def test_search_probe_order_when_found(monkeypatch, trials, probes):
+    calls = _probes(monkeypatch)
+    res = d.search_minimal_m(2, 3, 0.5, 1.5, trials_per_m=trials, seed=1)
+    assert calls == probes
+    assert res.m == res.report.m == 13
+    assert (res.report.c1, res.report.c2) == (
+        approx(0.5804445421611897, abs=1e-9), approx(1.4490722827117943, abs=1e-9))
+
+
+# The exhausted searches probe every size up to m_max; ties in the score
+# keep the first attempt (m_max = 1, two trials of c1 = 0, c2 = 3).
+@pytest.mark.parametrize("m_max, trials, probes, best, text", [
+    (1, 1, [(1, 1)], (1, 0.0, 3.0), "m=1 gave c1=0 c2=3"),
+    (1, 2, [(1, 1), (1, 2)], (1, 0.0, 3.0), "m=1 gave c1=0 c2=3"),
+    (3, 1, [(1, 1), (2, 1), (3, 1)], (3, 4.2445295627285134e-05, 2.178436388310563),
+     "m=3 gave c1=4.24453e-05 c2=2.17844"),
+    (3, 2, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)],
+     (3, 0.08966522920427505, 1.8358875665118333), "m=3 gave c1=0.0896652 c2=1.83589"),
+    (8, 1, [(1, 1), (2, 1), (4, 1), (8, 1)], (8, 0.3154899476192776, 1.6796506137645595),
+     "m=8 gave c1=0.31549 c2=1.67965"),
+    (8, 2, [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2), (8, 1), (8, 2)],
+     (8, 0.3154899476192776, 1.6796506137645595), "m=8 gave c1=0.31549 c2=1.67965"),
+])
+def test_search_probe_order_when_exhausted(monkeypatch, m_max, trials, probes, best, text):
+    calls = _probes(monkeypatch)
+    with pytest.raises(d.SearchExhausted) as err:
+        d.search_minimal_m(2, 3, 0.999, 1.001, trials_per_m=trials, seed=1, m_max=m_max)
+    assert calls == probes
+    m, c1, c2 = best
+    exc = err.value
+    assert (exc.best_m, exc.best_c1, exc.best_c2) == (
+        m, approx(c1, abs=1e-9), approx(c2, abs=1e-9))
+    assert str(exc) == "no qualifying m found; best attempt " + text
+
+
 def test_search_validates_targets():
     with pytest.raises(ValueError):
         d.search_minimal_m(2, 3, 1.5, 2.0, seed=1)
