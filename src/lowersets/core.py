@@ -17,21 +17,22 @@ enumeration, the DFS count and the discretization family, so depth is
 limited by n alone, not by the interpreter's recursion limit.  It builds
 and runs on indices into the lex-sorted shifted hyperbolic cross
 F_n = {k : prod(k_i + 1) <= n}, which holds every lower set of size at
-most n, so index order is lex order.  Each walk tables the in-cross
-successors of every cell once and counts, per cell, its predecessors
-not yet in the chain; a cell becomes addable when that count reaches
-0.  Its output is lex-sorted and downward closed by construction, so
-enumeration wraps it in LowerSet without re-validating; the public
-constructor still validates all outside input.  The walk also tallies
-the sets it visits per depth; since the growth passes through every
-lower set of size at most n, one walk to n yields the whole count table
-p_d(0..n), and :func:`count_table` is the one place that picks an oracle
-or that walk.  Besides the table of F_n, which holds
-O(n (1 + ln n)^(d-1)) cells, the walk keeps O(n) frontiers.  Every cell
-of F_n is the corner of a box the walk visits, so F_n is built under
-the node budget too, and a budget below |F_n| fails before the table
-is complete.  Subtrees are independent, which would allow parallel
-exploration.  All functions
+most n, so index order is lex order.  The recursion that builds F_n
+also tables each cell's in-cross successors and its number of
+predecessors, so the rule prod(k_i + 1) <= n is stated once; the walk
+counts down, per cell, its predecessors not yet in the chain, and a
+cell becomes addable when that count reaches 0.  Its output is
+lex-sorted and downward closed by construction, so enumeration wraps it
+in LowerSet without re-validating; the public constructor still
+validates all outside input.  The walk also tallies the sets it visits
+per depth; since the growth passes through every lower set of size at
+most n, one walk to n yields the whole count table p_d(0..n), and
+:func:`count_table` is the one place that picks an oracle or that walk.
+Besides the tables of F_n, which holds O(n (1 + ln n)^(d-1)) cells, the
+walk keeps O(n) frontiers.  Every cell of F_n is the corner of a box the
+walk visits, so F_n is built under the node budget too, and a budget
+below |F_n| fails before the tables are complete.  Subtrees are
+independent, which would allow parallel exploration.  All functions
 here are pure and single threaded.
 """
 
@@ -192,8 +193,12 @@ def corners(q: LowerSet) -> set[Coords]:
     }
 
 
-def _cross(dim: int, size: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Coords]:
-    """The shifted hyperbolic cross {k : prod(k_i + 1) <= size}, lex-sorted.
+def _cross(
+    dim: int, size: int, budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[list[Coords], list[tuple[int, ...]], bytearray]:
+    """The shifted hyperbolic cross {k : prod(k_i + 1) <= size}, lex-sorted,
+    with its successor rows and predecessor counts, as
+    ``(cells, nexts, missing)``.
 
     A lower set holding k holds the whole box of prod(k_i + 1) cells
     below k, so every lower set of size at most ``size`` lies in the
@@ -206,53 +211,47 @@ def _cross(dim: int, size: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Coord
     Each cell grows from the prefix before its last nonzero coordinate:
     the zero-padded prefix comes first, then, later positions first and
     smaller values first, the cells with one more nonzero coordinate.
-    That is lex order, each cell costs O(dim) however wide the cross is,
-    and since every nonzero coordinate at least doubles the box, the
-    recursion is at most log2(size) + 1 deep.
+    That is lex order, and since every nonzero coordinate at least
+    doubles the box, the recursion is at most log2(size) + 1 deep.  Each
+    new cell joins the row of successors of each of its predecessors
+    (the parent or the previous sibling along its last nonzero axis,
+    one looked up by cell along each other), which are lex-smaller and
+    already built, so every row is increasing.  ``missing`` holds the
+    number of predecessors of each cell.
     """
     cells: list[Coords] = []
+    nexts: list[tuple[int, ...]] = []
+    missing = bytearray()
+    pos: dict[Coords, int] = {}
 
-    def grow(p: Coords, box: int) -> None:
-        cells.append(p + (0,) * (dim - len(p)))
-        if len(cells) > budget:
+    def grow(p: Coords, box: int, axes: tuple[int, ...], pred: int) -> int:
+        # axes are the nonzero coordinates, pred is the index of k - e_axes[-1]
+        j = len(cells)
+        k = p + (0,) * (dim - len(p))
+        cells.append(k)
+        if j >= budget:
             raise BudgetExceededError("budget exceeded")
+        pos[k] = j
+        nexts.append(())
+        missing.append(len(axes))
+        if axes:
+            nexts[pred] += (j,)
+        for t in axes[:-1]:
+            nexts[pos[k[:t] + (k[t] - 1,) + k[t + 1:]]] += (j,)
         room = size // box
         if room > 1:
-            for j in range(dim - 1, len(p) - 1, -1):
-                gap = p + (0,) * (j - len(p))
+            for a in range(dim - 1, len(p) - 1, -1):
+                gap, more, prev = p + (0,) * (a - len(p)), axes + (a,), j
                 for c in range(1, room):
-                    grow(gap + (c,), box * (c + 1))
+                    prev = grow(gap + (c,), box * (c + 1), more, prev)
+        return j
 
     if size >= 1:
-        grow((), 1)
-    return cells
-
-
-def _successor_table(cells: list[Coords], size: int) -> list[tuple[int, ...]]:
-    """Per cell index of ``cells = _cross(dim, size)``, its successors
-    k + e_i inside the cross, in increasing order.
-
-    The cell-to-index dict is dropped on return, so a long walk holds
-    only the cells, the rows and its per-cell counts.
-    """
-    pos = {p: i for i, p in enumerate(cells)}
-    nexts = []
-    for p in cells:
-        box = 1
-        nonzero = []
-        for k, c in enumerate(p):
-            if c:
-                box *= c + 1
-                nonzero.append(k)
-        succ = []
-        # p + e_i is lex-greater for smaller i, so the row comes out sorted;
-        # a zero coordinate can grow only while the box can double
-        for i in reversed(range(len(p)) if 2 * box <= size else nonzero):
-            c = p[i]
-            if box // (c + 1) * (c + 2) <= size:
-                succ.append(pos[p[:i] + (c + 1,) + p[i + 1:]])
-        nexts.append(tuple(succ))
-    return nexts
+        try:
+            grow((), 1, (), -1)
+        finally:
+            pos.clear()  # grow holds itself, so its dict would outlive the call
+    return cells, nexts, missing
 
 
 def _walk(
@@ -261,30 +260,29 @@ def _walk(
     """The canonical growth of lower sets of size ``size`` in Z_+^dim, as
     ``(cells, levels, chains)``.
 
-    ``cells = _cross(dim, size, budget)`` is built at once, so a budget
-    below its size raises here.  ``chains`` yields the shared chain of
-    indices into ``cells`` at depth ``size``; the list is mutated as the
-    walk goes on, so callers copy what they keep.  ``levels[k]`` is the
+    ``cells`` and its tables come from ``_cross(dim, size, budget)`` at
+    once, so a budget below its size raises here.  ``chains`` yields the
+    shared chain of indices into ``cells`` at depth ``size``; the list is
+    mutated as the walk goes on, so callers copy what they keep.  ``levels[k]`` is the
     number of sets of size k visited, which is p_dim(k) for every
     k <= size once ``chains`` is exhausted.
 
     The walk runs on indices into the lex-sorted cross, so index order
-    is lex order.  It tables each cell's successors inside the cross
-    once (:func:`_successor_table`); a successor outside the cross never
-    becomes addable before depth ``size``, so the walk stays exact.  A
-    bytearray holds, per cell, how many of its predecessors are missing
-    from the chain: at first its number of nonzero coordinates, since
-    the cross is a lower set and holds them all.  Pushing a chain cell
-    takes one off the count of each successor, and those that reach 0
-    are the fresh addable cells; popping it puts the ones back.  Explicit
-    stacks of frontiers and their cursors replace recursion, so the
-    depth is bounded by ``size`` alone.  A frontier is a tuple of the
+    is lex order.  It follows each cell's successor row inside the
+    cross; a successor outside the cross never becomes addable before
+    depth ``size``, so the walk stays exact.  ``missing`` counts, per
+    cell, its predecessors not in the chain: at first all of them, since
+    the cross is a lower set.  Pushing a chain cell takes one off the
+    count of each successor, and those that reach 0 are the fresh
+    addable cells; popping it puts the ones back.  Explicit stacks of
+    frontiers and their cursors replace recursion, so the depth is
+    bounded by ``size`` alone.  A frontier is a tuple of the
     addable cells lex-greater than the last chain cell, in increasing
     order.  Every visited set of size 1..size, the origin included,
     counts as a node against ``budget``.  Each call has its own counts,
     so walks are independent of each other.
     """
-    cells = _cross(dim, size, budget)
+    cells, nexts, missing = _cross(dim, size, budget)
     levels = [1] + [0] * size
 
     def chains() -> Iterator[list[int]]:
@@ -297,8 +295,6 @@ def _walk(
         if size == 1:
             yield chain
             return
-        nexts = _successor_table(cells, size)
-        missing = bytearray([dim - p.count(0) for p in cells])
         for s in nexts[0]:
             missing[s] -= 1
         nodes = 1

@@ -142,7 +142,7 @@ def test_walks_are_independent(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_walk_cross_is_the_shifted_hyperbolic_cross(d):
     for n in range(13):
-        cells = core._cross(d, n)
+        cells = core._cross(d, n)[0]
         assert cells == candidate_cells(d, n)
         assert len(cells) == hyperbolic_cross_size(d, n)
 
@@ -283,7 +283,7 @@ def test_cross_budget_never_cuts_a_walk_short(d):
     # are equal for d = 1 and for n <= 2, where every lower set is a box
     for n in range(1, 9):
         nodes = sum(core.count_table(d, n, "dfs")[1:])
-        assert len(core._cross(d, n, nodes)) <= nodes
+        assert len(core._cross(d, n, nodes)[0]) <= nodes
         assert core.count_table(d, n, "dfs", budget=nodes)[n] == core.count_lower_sets(d, n)
         assert len(list(core.enumerate_lower_sets(d, n, budget=nodes))) == \
             core.count_lower_sets(d, n)
