@@ -29,10 +29,6 @@ from . import core
 BUDGET_ENV = "LOWERSET_BUDGET"
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_range(text: str) -> range:
     try:
         if ".." in text:
@@ -50,7 +46,7 @@ def _parse_range(text: str) -> range:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, "error: %s\n" % message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget_from_env() -> int:
+def _budget_from_env(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return core.DEFAULT_NODE_BUDGET
@@ -101,38 +97,38 @@ def _budget_from_env() -> int:
         if value < 1:
             raise ValueError
     except ValueError:
-        raise _UsageError("%s must be a positive integer" % BUDGET_ENV)
+        parser.error("%s must be a positive integer" % BUDGET_ENV)
     return value
 
 
-def _check(args: argparse.Namespace) -> None:
-    """Reject invalid combinations in place and set ``args.budget``."""
-    args.budget = _budget_from_env()
+def _check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject invalid combinations by ``parser.error``; set ``args.budget``."""
+    args.budget = _budget_from_env(parser)
     if args.command == "enumerate" and (args.d < 1 or args.n < 0):
-        raise _UsageError("need --d >= 1 and --n >= 0")
+        parser.error("need --d >= 1 and --n >= 0")
     if args.command == "bounds" and (args.d.start < 2 or args.n.start < 1):
-        raise _UsageError("bounds needs d >= 2 and n >= 1")
+        parser.error("bounds needs d >= 2 and n >= 1")
     if args.command != "discretize":
         return
     if args.m is None and not args.search:
-        raise _UsageError("discretize needs --m or --search")
+        parser.error("discretize needs --m or --search")
     if args.m is not None and args.search:
-        raise _UsageError("--m and --search are mutually exclusive")
+        parser.error("--m and --search are mutually exclusive")
     if args.grid and args.search:
-        raise _UsageError("--grid applies only to --m certification")
+        parser.error("--grid applies only to --m certification")
     randomized = args.search or (args.m is not None and not args.grid)
     if randomized and args.seed is None:
-        raise _UsageError("randomized runs require --seed")
+        parser.error("randomized runs require --seed")
     if args.d < 1 or args.n < 1:
-        raise _UsageError("need --d >= 1 and --n >= 1")
+        parser.error("need --d >= 1 and --n >= 1")
     if args.m is not None and args.m < 1:
-        raise _UsageError("--m must be positive")
+        parser.error("--m must be positive")
     if args.trials < 1:
-        raise _UsageError("--trials must be positive")
+        parser.error("--trials must be positive")
     if args.m_max is not None and args.m_max < 1:
-        raise _UsageError("--m-max must be positive")
+        parser.error("--m-max must be positive")
     if not 0.0 < args.c1 <= 1.0 <= args.c2:
-        raise _UsageError("targets must satisfy 0 < c1 <= 1 <= c2")
+        parser.error("targets must satisfy 0 < c1 <= 1 <= c2")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -297,14 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _check(args)
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     runners = {"count": run_count, "enumerate": run_enumerate,
                "bounds": run_bounds, "discretize": run_discretize}
     try:

@@ -190,6 +190,7 @@ def _family(d: int, n: int, budget: int) -> tuple[list[Coords], np.ndarray]:
         raise ValueError("requires n >= 1")
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    hyperbolic_cross_bound(d, n)  # a bound beyond a double fails before the walk
     try:
         cells, _, walk = _walk(d, n, budget)
         # each chain is read in full before the walk resumes and mutates it

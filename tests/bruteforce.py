@@ -42,6 +42,20 @@ def candidate_cells(d: int, n: int) -> list[Point]:
     return sorted(out)
 
 
+def successor_rows(cells: list[Point]) -> list[tuple[int, ...]]:
+    """Per cell, the sorted indices of its successors p + e_i among ``cells``."""
+    index = {p: i for i, p in enumerate(cells)}
+    rows = []
+    for p in cells:
+        found = []
+        for i in range(len(p)):
+            s = p[:i] + (p[i] + 1,) + p[i + 1:]
+            if s in index:
+                found.append(index[s])
+        rows.append(tuple(sorted(found)))
+    return rows
+
+
 def box_filter_lower_sets(d: int, n: int) -> set[tuple[Point, ...]]:
     """All size-n lower sets in the box, by in/out subset recursion.
 

@@ -139,10 +139,7 @@ def _bench_runs() -> list[list[str]]:
 
 
 def _error_runs() -> list[tuple[list[str], dict[str, str]]]:
-    """The failing inputs of tests/test_cli.py that name no temp path.
-
-    ``discretize --d 1400`` is left out: it takes a third of a second.
-    """
+    """The failing inputs of tests/test_cli.py that name no temp path."""
     budget = cli.BUDGET_ENV
     search = ["discretize", "--d", "2", "--n", "3", "--search", "--seed", "1"]
     return [
@@ -181,6 +178,8 @@ def _error_runs() -> list[tuple[list[str], dict[str, str]]]:
         (search + ["--m-max", str(10**12)], {budget: "7"}),
         (["discretize", "--d", "2", "--n", "3", "--m", "1", "--seed", "5"], {}),
         (["discretize", "--d", "400", "--n", "2", "--m", "3", "--seed", "1"], {}),
+        (["discretize", "--d", "1400", "--n", "2", "--m", "3", "--seed", "1"], {}),
+        (["discretize", "--d", "1400", "--n", "2", "--search", "--seed", "1"], {}),
         (search + ["--c1", "0.999", "--c2", "1.001", "--m-max", "4"], {}),
         (["discretize", "--d", "2", "--n", "6", "--seed", "7", "--m", "50"], {budget: "3"}),
         (["discretize", "--d", "2", "--n", "6", "--seed", "7", "--search", "--trials", "2"],

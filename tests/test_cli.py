@@ -168,21 +168,28 @@ def test_count_bad_budget_env(monkeypatch, capsys):
 # -- usage errors ---------------------------------------------------------------
 
 def test_no_subcommand_exits_one(capsys):
-    assert run([], capsys)[0] == 1
+    code, out, err = run([], capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith("\nerror: the following arguments are required: command\n")
 
 
 def test_unknown_flag_exits_one(capsys):
     code, _, err = run(["count", "--d", "2", "--n", "3", "--bogus"], capsys)
     assert code == 1
     assert "usage" in err
+    assert err.endswith("\nerror: unrecognized arguments: --bogus\n")
 
 
 def test_descending_range_exits_one(capsys):
-    assert run(["count", "--d", "5..2", "--n", "3"], capsys)[0] == 1
+    code, _, err = run(["count", "--d", "5..2", "--n", "3"], capsys)
+    assert code == 1
+    assert err.endswith("\nerror: argument --d: empty range: '5..2'\n")
 
 
 def test_non_integer_range_exits_one(capsys):
-    assert run(["count", "--d", "two", "--n", "3"], capsys)[0] == 1
+    code, _, err = run(["count", "--d", "two", "--n", "3"], capsys)
+    assert code == 1
+    assert err.endswith("\nerror: argument --d: expected INT or INT..INT: 'two'\n")
 
 
 # -- enumerate -------------------------------------------------------------------
@@ -444,13 +451,18 @@ def test_discretize_deep_dimension_reports_the_cross(capsys):
     assert err == ""
 
 
-def test_discretize_bound_beyond_a_double_is_one_line(capsys):
-    code, out, err = run(
-        ["discretize", "--d", "1400", "--n", "2", "--m", "3", "--seed", "1"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: hyperbolic cross bound")
+def test_discretize_bound_beyond_a_double_is_one_line(monkeypatch, capsys):
+    def no_walk(*args):
+        raise AssertionError("the bound is checked before the walk")
+
+    monkeypatch.setattr(disc, "_walk", no_walk)
+    base = ["discretize", "--d", "1400", "--n", "2", "--seed", "1"]
+    for extra in (["--m", "3"], ["--search"]):
+        code, out, err = run(base + extra, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: hyperbolic cross bound")
 
 
 def test_discretize_search_reports_m_found(capsys):

@@ -7,6 +7,7 @@ from hand-checked tiny cases, never from the code under test.
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from bruteforce import (
     list_partitions,
     pascal_binomial,
     plane_partitions_by_product,
+    successor_rows,
 )
 from lowersets import core
 from lowersets.core import LowerSet, Partition
@@ -139,12 +141,26 @@ def test_walks_are_independent(d):
         assert [q.points for q in core.enumerate_lower_sets(d, n)] == alone
 
 
+def _check_cross_tables(d, n):
+    cells, nexts, missing = core._cross(d, n)
+    assert len(cells) == hyperbolic_cross_size(d, n)
+    assert nexts == successor_rows(cells)
+    assert list(missing) == [d - p.count(0) for p in cells]
+    return cells
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_walk_cross_is_the_shifted_hyperbolic_cross(d):
     for n in range(13):
-        cells = core._cross(d, n)[0]
-        assert cells == candidate_cells(d, n)
-        assert len(cells) == hyperbolic_cross_size(d, n)
+        assert _check_cross_tables(d, n) == candidate_cells(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(12, 9), (40, 7), (200, 3)])
+def test_wide_cross_tables_match_the_reference(d, n):
+    # distinct cells of the cross, as many as it holds, are all of it
+    cells = _check_cross_tables(d, n)
+    assert all(a < b for a, b in zip(cells, cells[1:]))
+    assert all(math.prod(c + 1 for c in p) <= n for p in cells)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 40])
@@ -283,7 +299,8 @@ def test_cross_budget_never_cuts_a_walk_short(d):
     # are equal for d = 1 and for n <= 2, where every lower set is a box
     for n in range(1, 9):
         nodes = sum(core.count_table(d, n, "dfs")[1:])
-        assert len(core._cross(d, n, nodes)[0]) <= nodes
+        cells, nexts, missing = core._cross(d, n, nodes)
+        assert len(cells) == len(nexts) == len(missing) <= nodes
         assert core.count_table(d, n, "dfs", budget=nodes)[n] == core.count_lower_sets(d, n)
         assert len(list(core.enumerate_lower_sets(d, n, budget=nodes))) == \
             core.count_lower_sets(d, n)
