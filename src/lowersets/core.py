@@ -246,11 +246,14 @@ def _cross(
                     prev = grow(gap + (c,), box * (c + 1), more, prev)
         return j
 
-    if size >= 1:
-        try:
+    try:
+        if size >= 1:
             grow((), 1, (), -1)
-        finally:
-            pos.clear()  # grow holds itself, so its dict would outlive the call
+    finally:
+        # grow refers to itself through its closure; dropping the name
+        # breaks that cycle, so its tables are freed when the caller drops
+        # them rather than at some later garbage collection
+        del grow
     return cells, nexts, missing
 
 

@@ -6,6 +6,7 @@ from hand-checked tiny cases, never from the code under test.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -161,6 +162,22 @@ def test_wide_cross_tables_match_the_reference(d, n):
     cells = _check_cross_tables(d, n)
     assert all(a < b for a, b in zip(cells, cells[1:]))
     assert all(math.prod(c + 1 for c in p) <= n for p in cells)
+
+
+@pytest.mark.parametrize("d,n,budget", [(1, 3000, 10**8), (3, 12, 10**8), (3, 12, 5)])
+def test_cross_leaves_no_garbage_cycle(d, n, budget):
+    # tables kept alive by a cycle linger until the collector runs, so a
+    # process's peak memory would depend on when it happens to run
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            core._cross(d, n, budget)
+        except core.BudgetExceededError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 40])
